@@ -173,10 +173,18 @@ class FeatureMap:
                 )
 
     def evaluate(self, columns) -> np.ndarray:
-        """Model matrix of shape (columns.n, n_features)."""
+        """Model matrix of shape (..., columns.n, n_features).
+
+        Stacked columns of shape (R, n) give a stack of R model matrices.
+        """
         if not self.terms:
-            return np.empty((columns.n, 0))
-        return np.column_stack([t.evaluate(columns) for t in self.terms])
+            rows = columns.y.shape if isinstance(columns, Dataset) else (columns.n,)
+            return np.empty(rows + (0,))
+        values = [t.evaluate(columns) for t in self.terms]
+        out = np.empty(np.broadcast_shapes(*(v.shape for v in values)) + (len(values),))
+        for j, v in enumerate(values):
+            out[..., j] = v
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +264,9 @@ class Dataset:
     """Column-wise store of n trajectories over K stages.
 
     ``states[k-1]`` is the (n, d_k) stage-k state block, ``actions[k-1]``
-    the (n,) integer 0/1 action vector, and ``y`` the (n,) outcome.
+    the (n,) integer 0/1 action vector, and ``y`` the (n,) outcome.  A
+    stack of R datasets of one size has a leading replication axis on every
+    array: (R, n, d_k) states, (R, n) actions and outcomes.
     """
 
     states: tuple
@@ -269,11 +279,11 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         if len(self.states) != len(self.actions) or not self.states:
             raise InvalidParameterError("need one state block and one action vector per stage")
-        n = self.y.shape[0]
+        rows = self.y.shape
         for k, (s, a) in enumerate(zip(self.states, self.actions), start=1):
-            if s.ndim != 2 or s.shape[0] != n:
+            if s.ndim != len(rows) + 1 or s.shape[:-1] != rows:
                 raise InvalidParameterError(f"stage {k} state block must be (n, d_{k})")
-            if a.shape != (n,):
+            if a.shape != rows:
                 raise InvalidParameterError(f"stage {k} action vector must have length n")
             if not np.all((a == 0) | (a == 1)):
                 raise InvalidParameterError(f"stage {k} actions must be 0/1")
@@ -284,7 +294,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return self.y.shape[-1]
 
     @property
     def n_stages(self) -> int:
@@ -292,12 +302,12 @@ class Dataset:
 
     @property
     def state_dims(self) -> tuple:
-        return tuple(s.shape[1] for s in self.states)
+        return tuple(s.shape[-1] for s in self.states)
 
     def state_col(self, stage: int, comp: int) -> np.ndarray:
         if not (1 <= stage <= self.n_stages) or not (1 <= comp <= self.state_dims[stage - 1]):
             raise FeatureScopeError(f"dataset has no state s{stage}_{comp}")
-        return self.states[stage - 1][:, comp - 1]
+        return self.states[stage - 1][..., comp - 1]
 
     def action_col(self, stage: int) -> np.ndarray:
         if not (1 <= stage <= self.n_stages):
@@ -414,7 +424,7 @@ class KnownPropensity:
         if callable(self.value):
             pi = np.asarray(self.value(dataset, stage), dtype=float)
         else:
-            pi = np.full(dataset.n, float(self.value))
+            pi = np.full(dataset.y.shape, float(self.value))
         if np.any(pi < 0.0) or np.any(pi > 1.0):
             raise InvalidParameterError("known propensities must lie in [0, 1]")
         return pi

@@ -10,37 +10,35 @@ its Monte Carlo error comes from the state draws alone).
 ``run_mc_study`` repeats: draw a dataset (one stream per replication, keyed
 by the replication index, so results do not depend on scheduling), fit the
 requested estimators, record contrast coefficients and the value of the
-estimated regime.  Summaries follow: means, SDs, componentwise MSE and the
-A/Q MSE ratio, mean and median value efficiencies R = H(d-hat)/H(d-opt),
+estimated regime.  Replications run in chunks: a chunk's datasets are drawn
+side by side into stacked arrays, and each estimator fits the whole stack in
+one backward recursion (:mod:`dtrkit.recursion`); every replication's
+numbers are exactly those it gets alone.  Summaries follow: means, SDs,
+componentwise MSE and the A/Q MSE ratio, mean and median value efficiencies R = H(d-hat)/H(d-opt),
 mean decision thresholds for two-coefficient rules, and the within-dataset
 SD of fitted propensities.  Every summary carries its own Monte Carlo
 standard error (SD over replications divided by sqrt of replications).
 
-Replications that fail (singular stage system, non-convergent propensity)
-are excluded and counted; more than 1% failed flags a warning in the
-results, more than 10% raises ``StudyError``.
+Replications that fail (singular stage system, unsolved estimating
+equations, non-convergent propensity) are excluded and counted; more than 1%
+failed flags a warning in the results, more than 10% raises ``StudyError``.
 """
 
 from __future__ import annotations
 
-import warnings
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alearn import alearn_fit
-from .data import ArrayColumns, Regime
-from .errors import (
-    ExtremePropensityWarning,
-    InvalidParameterError,
-    NonConvergenceError,
-    SingularSystemError,
-    StudyError,
-)
-from .numerics import expit, trunc_norm_moments
-from .qlearn import qlearn_fit
-from .rng import RngStream, make_stream
+# alearn_fit and qlearn_fit are not called here, but bench/spans.py traces
+# them under these module names.
+from .alearn import alearn_fit, alearn_stack, extreme_propensity  # noqa: F401
+from .data import ArrayColumns, DecisionRule, Regime
+from .errors import InvalidParameterError, StudyError
+from .numerics import trunc_norm_moments
+from .qlearn import qlearn_fit, qlearn_stack  # noqa: F401
+from .rng import RngStream, StreamStack, make_stream
 from .scenarios import (
     MoodieParams,
     OneDecisionParams,
@@ -65,6 +63,12 @@ __all__ = [
 ]
 
 ESTIMATOR_NAMES = ("qlearn", "alearn")
+_STACKED_FITS = {"qlearn": qlearn_stack, "alearn": alearn_stack}
+# A chunk holds as many replications as fit in this many trajectories: it
+# bounds the memory of the stacked arrays.
+CHUNK_ROWS = 16384
+# Substream of a replication's stream that g-computation draws from.
+GCOMP_SUBSTREAM = 8
 # Study failure-rate policy: warn above 1%, refuse to summarize above 10%.
 FAILURE_WARN_RATE = 0.01
 FAILURE_ERROR_RATE = 0.10
@@ -357,13 +361,14 @@ class StudyResults:
     n_extreme_propensity: int = 0
 
 
-def _within_sd(values: np.ndarray) -> float:
-    # Sample SD (n-1 denominator): the two-point vector (0.4, 0.6) has SD
-    # 0.1414..., and a constant vector has SD 0.
+def _within_sd(values: np.ndarray):
+    # Sample SD (n-1 denominator) along the last axis: the two-point vector
+    # (0.4, 0.6) has SD 0.1414..., and a constant vector has SD 0.
     values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1))
+    if values.shape[-1] < 2:
+        return np.zeros(values.shape[:-1]) if values.ndim > 1 else 0.0
+    sd = np.std(values, axis=-1, ddof=1)
+    return sd if values.ndim > 1 else float(sd)
 
 
 def propensity_sd_diagnostic(per_rep_pihat) -> float:
@@ -382,42 +387,44 @@ def median_efficiency(results: StudyResults) -> dict:
     return out
 
 
-def _fit_one(estimator: str, dataset, specs):
-    if estimator == "qlearn":
-        return qlearn_fit(dataset, specs)
-    return alearn_fit(dataset, specs)
+def _run_chunk(
+    scenario, params, n, specs, estimators, value_method, gcomp_draws, master_seed, reps
+):
+    """Generate and fit the replications ``reps`` (a range) as one stack.
 
-
-def _run_one_rep(scenario, params, n, specs, estimators, value_method, gcomp_draws, master_seed, r):
+    Returns, per estimator, the failure mask, the (R, p) contrast estimates
+    and the values (NaN where failed) and, for A-learning, the (R, K)
+    within-dataset SDs of the fitted propensities; and the mask of
+    replications whose successful A-learning fit met an extreme propensity.
+    """
     definition = scenario_registry(scenario)
-    stream = make_stream(master_seed, r)
-    dataset = definition.generate(params, n, stream)
-    record = {}
-    extreme = False
+    dataset = definition.generate(params, n, StreamStack(master_seed, reps))
+    out = {}
+    extreme = np.zeros(len(reps), dtype=bool)
     for est in estimators:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", ExtremePropensityWarning)
-                result = _fit_one(est, dataset, specs)
-            extreme = extreme or any(
-                issubclass(w.category, ExtremePropensityWarning) for w in caught
-            )
-        except (SingularSystemError, NonConvergenceError):
-            record[est] = None
-            continue
-        psi_hat = np.concatenate([f.psi for f in result.stage_fits])
-        if value_method == "analytic":
-            value = regime_value_analytic(params, [f.psi for f in result.stage_fits])
-        else:
-            value, _ = value_gcomputation(params, result.regime, gcomp_draws, stream.substream(8))
+        stacked = _STACKED_FITS[est](dataset, specs)
+        failed = stacked.failed
+        fits = stacked.stage_fits
+        psi = np.concatenate([f.psi for f in fits], axis=-1)
+        psi[failed] = np.nan
+        value = np.full(len(reps), np.nan)
+        for r in np.flatnonzero(~failed):
+            psi_list = [f.psi[r] for f in fits]
+            if value_method == "analytic":
+                value[r] = regime_value_analytic(params, psi_list)
+            else:
+                regime = Regime(
+                    tuple(DecisionRule(s.c_features, p) for s, p in zip(specs, psi_list))
+                )
+                stream = make_stream(master_seed, reps[r]).substream(GCOMP_SUBSTREAM)
+                value[r], _ = value_gcomputation(params, regime, gcomp_draws, stream)
         pihat_sd = None
         if est == "alearn":
-            pihat_sd = [
-                _within_sd(f.pihat) if f.pihat is not None else 0.0 for f in result.stage_fits
-            ]
-        record[est] = (psi_hat, value, pihat_sd)
-    record["extreme_propensity"] = extreme
-    return record
+            pihat_sd = np.stack([_within_sd(f.pihat) for f in fits], axis=-1)
+            for f in fits:
+                extreme |= extreme_propensity(f.pihat) & ~failed
+        out[est] = (failed, psi, value, pihat_sd)
+    return out, extreme
 
 
 def _threshold_stats(psi_block: np.ndarray):
@@ -455,7 +462,8 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
     h_opt = regime_value_analytic(params, psi_true_stages)
 
     reps = config.reps
-    args = (
+    run_chunk = functools.partial(
+        _run_chunk,
         config.scenario,
         params,
         n,
@@ -465,32 +473,22 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
         config.gcomp_draws,
         config.master_seed,
     )
+    size = max(1, CHUNK_ROWS // n)
+    chunks = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
     if config.threads > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            records = list(
-                pool.map(_rep_worker, [(args, r) for r in range(reps)], chunksize=256)
-            )
-    else:
-        records = [_run_one_rep(*args, r) for r in range(reps)]
+        from concurrent.futures import ProcessPoolExecutor
 
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            records = list(pool.map(run_chunk, chunks))
+    else:
+        records = [run_chunk(chunk) for chunk in chunks]
+
+    failed, psi_rep, value_rep = (
+        {e: np.concatenate([fits[e][i] for fits, _ in records]) for e in estimators}
+        for i in range(3)
+    )
+    n_extreme = int(sum(extreme.sum() for _, extreme in records))
     p_total = psi_true.size
-    psi_rep = {e: np.full((reps, p_total), np.nan) for e in estimators}
-    value_rep = {e: np.full(reps, np.nan) for e in estimators}
-    failed = {e: np.zeros(reps, dtype=bool) for e in estimators}
-    pihat_sds = {e: [] for e in estimators}
-    n_extreme = 0
-    for r, record in enumerate(records):
-        n_extreme += bool(record.get("extreme_propensity"))
-        for est in estimators:
-            entry = record[est]
-            if entry is None:
-                failed[est][r] = True
-                continue
-            psi_hat, value, pihat_sd = entry
-            psi_rep[est][r] = psi_hat
-            value_rep[est][r] = value
-            if pihat_sd is not None:
-                pihat_sds[est].append(pihat_sd)
 
     any_failed = np.zeros(reps, dtype=bool)
     for est in estimators:
@@ -545,16 +543,18 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
             threshold_se=thr_se,
         )
 
+    # The ratio and its delta-method SE both use the replications where
+    # both estimators succeeded.
     mse_ratio = None
     mse_ratio_se = None
     if "qlearn" in estimators and "alearn" in estimators:
-        mse_ratio = summaries["alearn"].mse_psi / summaries["qlearn"].mse_psi
         both = ~(failed["qlearn"] | failed["alearn"])
         mb = int(both.sum())
+        ea = (psi_rep["alearn"][both] - psi_true) ** 2
+        eq = (psi_rep["qlearn"][both] - psi_true) ** 2
+        ma, mq = ea.mean(axis=0), eq.mean(axis=0)
+        mse_ratio = ma / mq
         if mb > 1:
-            ea = (psi_rep["alearn"][both] - psi_true) ** 2
-            eq = (psi_rep["qlearn"][both] - psi_true) ** 2
-            ma, mq = ea.mean(axis=0), eq.mean(axis=0)
             va, vq = ea.var(axis=0, ddof=1), eq.var(axis=0, ddof=1)
             cov = ((ea - ma) * (eq - mq)).sum(axis=0) / (mb - 1)
             var_ratio = (va / mq**2 + (ma**2) * vq / mq**4 - 2 * ma * cov / mq**3) / mb
@@ -562,8 +562,9 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
 
     propensity_sd = {}
     propensity_sd_se = {}
-    if "alearn" in estimators and pihat_sds["alearn"]:
-        stage_sds = np.asarray(pihat_sds["alearn"], dtype=float)
+    if "alearn" in estimators and not failed["alearn"].all():
+        stage_sds = np.concatenate([fits["alearn"][3] for fits, _ in records])
+        stage_sds = stage_sds[~failed["alearn"]]
         m = stage_sds.shape[0]
         for k in range(stage_sds.shape[1]):
             propensity_sd[k + 1] = float(stage_sds[:, k].mean())
@@ -590,7 +591,3 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
         n_extreme_propensity=n_extreme,
     )
 
-
-def _rep_worker(packed):
-    args, r = packed
-    return _run_one_rep(*args, r)

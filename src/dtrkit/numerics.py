@@ -9,23 +9,35 @@ keeps the absolute error far below the 1e-12 target everywhere, including in
 the tails.  All solvers go through one LU factorization path so that the
 rank-deficiency policy (relative pivot threshold ``PIVOT_RTOL``) is identical
 for every caller.
+
+The solvers work on stacks of R problems of one shape (a leading
+replication axis): ``lu_stack``, ``estimating_solve`` and
+``logistic_stack``.  They make, for each problem, the BLAS and LAPACK calls
+a single problem makes, so every problem's result is bit-identical to
+fitting it alone, and a problem that fails (a singular system, a
+non-convergent fit) is reported in a per-problem error list instead of
+raising.  ``solve_linear``, ``wls_fit`` and ``logistic_fit`` are the stacks
+of one, and raise.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.special import expit, ndtr
 
 from .errors import InvalidParameterError, NonConvergenceError, SingularSystemError
 
 __all__ = [
     "FitResult",
+    "estimating_solve",
     "expit",
     "logistic_fit",
+    "logistic_stack",
+    "lu_solve_stack",
+    "lu_stack",
     "norm_cdf",
     "norm_pdf",
     "solve_linear",
@@ -118,24 +130,107 @@ def trunc_norm_moments(mu, sigma, cut, side):
     return prob, partial
 
 
-def _lu_checked(a: np.ndarray, context: str):
-    """LU-factor a square matrix, raising if any pivot is relatively tiny."""
-    a = np.asarray(a, dtype=float)
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale == 0.0:
-        raise SingularSystemError(f"{context}: matrix is zero", diagnostic=0.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        factor = lu_factor(a)
-    pivots = np.abs(np.diagonal(factor[0]))
-    min_rel_pivot = float(pivots.min() / scale)
-    if min_rel_pivot < PIVOT_RTOL:
-        raise SingularSystemError(
-            f"{context}: system is singular or numerically rank deficient "
-            f"(min relative pivot {min_rel_pivot:.3e} < {PIVOT_RTOL:.0e})",
-            diagnostic=min_rel_pivot,
-        )
-    return factor
+@functools.cache
+def _lapack():
+    # scipy.linalg is imported on first use: it is slow to import, and
+    # commands that fit nothing never need it.
+    from scipy.linalg import lapack
+
+    return lapack.dgetrf, lapack.dgetrs
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for stacks of matrices: one BLAS call per pair, the same
+    call (and bits) as the 2-D product.  A stack of one is multiplied as
+    2-D arrays, which spares large operands the copies of numpy's stacked
+    loop."""
+    if a.ndim == 3 and a.shape[0] == 1:
+        return (a[0] @ b[0])[None]
+    return a @ b
+
+
+def _matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix-vector product for every matrix of a stack."""
+    return _matmul(a, b[..., None])[..., 0]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of matching rows of two (R, n) stacks."""
+    return _matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _take(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows ``rows`` (sorted, distinct) of a stack; the stack itself,
+    uncopied, when they are all of its rows."""
+    return a if rows.size == a.shape[0] else a[rows]
+
+
+def _put(a: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``a`` with its rows ``rows`` (sorted, distinct) set to ``values``;
+    ``values`` itself, uncopied, when they are all of its rows."""
+    if rows.size == a.shape[0]:
+        return values
+    a[rows] = values
+    return a
+
+
+def lu_stack(a: np.ndarray, context: str):
+    """LU-factor each matrix of a stack of shape (R, p, p).
+
+    Returns ``(factors, errors, min_rel_pivot)``: per matrix, the LAPACK
+    ``(lu, piv)`` pair or None, a :class:`SingularSystemError` (not raised)
+    or None, and the smallest pivot relative to the largest entry.  A
+    matrix is singular when that pivot falls below ``PIVOT_RTOL``, when it
+    is zero, or when it has a non-finite entry.
+    """
+    getrf = _lapack()[0]
+    reps, p = a.shape[0], a.shape[-1]
+    scale = np.abs(a).max(axis=(-2, -1)) if p else np.zeros(reps)
+    usable = np.isfinite(scale) & (scale != 0.0)
+    # Each matrix in column-major order, which LAPACK factors in place.
+    lu = np.swapaxes(a, -1, -2).copy()
+    factors = [
+        (m.T, getrf(m.T, overwrite_a=1)[1]) if ok else None
+        for m, ok in zip(lu, usable.tolist())
+    ]
+    pivots = np.abs(np.diagonal(lu, axis1=-2, axis2=-1)).min(axis=-1, initial=np.inf)
+    min_rel_pivot = np.where(
+        usable, pivots / np.where(usable, scale, 1.0), np.where(np.isfinite(scale), 0.0, np.nan)
+    )
+    errors = [None] * reps
+    for r in np.flatnonzero(~(min_rel_pivot >= PIVOT_RTOL)):
+        factors[r] = None
+        if not usable[r]:
+            what = "has non-finite entries" if np.isnan(min_rel_pivot[r]) else "is zero"
+            message = f"{context}: matrix {what}"
+        else:
+            message = (
+                f"{context}: system is singular or numerically rank deficient "
+                f"(min relative pivot {min_rel_pivot[r]:.3e} < {PIVOT_RTOL:.0e})"
+            )
+        errors[r] = SingularSystemError(message, diagnostic=float(min_rel_pivot[r]))
+    return factors, errors, min_rel_pivot
+
+
+def lu_solve_stack(factors, b: np.ndarray) -> np.ndarray:
+    """Solve with each factor of :func:`lu_stack` against the matching slice
+    of ``b`` (R, p) or (R, p, k); slices without a factor are NaN."""
+    getrs = _lapack()[1]
+    out = np.full(b.shape, np.nan)
+    for r, factor in enumerate(factors):
+        if factor is not None:
+            out[r] = getrs(factor[0], factor[1], b[r])[0]
+    return out
+
+
+def _raise_first(errors) -> None:
+    if errors[0] is not None:
+        raise errors[0]
 
 
 def solve_linear(a, b):
@@ -154,7 +249,49 @@ def solve_linear(a, b):
         raise InvalidParameterError(f"expected a square matrix, got shape {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise InvalidParameterError("right-hand side length does not match matrix")
-    return lu_solve(_lu_checked(a, "solve_linear"), b)
+    factors, errors, _ = lu_stack(a[None], "solve_linear")
+    _raise_first(errors)
+    return lu_solve_stack(factors, b[None])[0]
+
+
+def estimating_solve(x: np.ndarray, v: np.ndarray, g: np.ndarray | None = None, *, context: str):
+    """Solve the linear estimating equations (G'X) theta = G'v for each
+    replication of a stack.
+
+    ``x`` and ``g`` are (R, n, p) and ``v`` is (R, n); ``g`` of None means
+    G = X, i.e. least squares.  The covariance is model based,
+    sigma2_hat (X'X)^{-1} for least squares and the sandwich
+    sigma2_hat M^{-1} (G'G) M^{-T} with M = G'X otherwise, where
+    sigma2_hat = |v - X theta|^2 / (n - p) (0 when n = p).
+
+    Returns ``(theta, cov, resid, errors, min_rel_pivot)``; ``errors`` and
+    ``min_rel_pivot`` are as in :func:`lu_stack`, and the rows of a
+    replication whose system is singular are NaN.
+
+    Raises
+    ------
+    InvalidParameterError
+        If n < p.
+    """
+    n, p = x.shape[-2:]
+    if n < p:
+        raise InvalidParameterError(f"need at least p={p} rows, got n={n}")
+    gt = _swap(x if g is None else g)
+    factors, errors, min_rel_pivot = lu_stack(_matmul(gt, x), context)
+    theta = lu_solve_stack(factors, _matvec(gt, v))
+    resid = v - _matvec(x, theta)
+    dof = n - p
+    if dof > 0:
+        sigma2 = _rowdot(resid, resid)[:, None] / dof
+    else:
+        sigma2 = np.zeros((x.shape[0], 1))
+    m_inv = lu_solve_stack(factors, np.broadcast_to(np.eye(p), (x.shape[0], p, p)))
+    if g is None:
+        cov = sigma2[..., None] * m_inv
+    else:
+        cov = sigma2[..., None] * m_inv @ _matmul(gt, g) @ _swap(m_inv)
+    cov = 0.5 * (cov + _swap(cov))
+    return theta, cov, resid, errors, min_rel_pivot
 
 
 def wls_fit(x, y, weights=None) -> FitResult:
@@ -182,40 +319,144 @@ def wls_fit(x, y, weights=None) -> FitResult:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, p = x.shape
-    if n < p:
-        raise InvalidParameterError(f"need at least p={p} rows, got n={n}")
+    n = x.shape[0]
     if weights is None:
-        xw = x
-        yw = y
-        w = None
+        xs, ys = x, y
     else:
         w = np.asarray(weights, dtype=float)
         if w.shape != (n,):
             raise InvalidParameterError("weights must have one entry per row")
         if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
             raise InvalidParameterError("weights must be finite and strictly positive")
-        xw = x * w[:, None]
-        yw = y * w
-    xtwx = x.T @ xw
-    xtwy = x.T @ yw
-    factor = _lu_checked(xtwx, "wls_fit")
-    coef = lu_solve(factor, xtwy)
-    resid = y - x @ coef
-    dof = n - p
-    if dof > 0:
-        wrss = float(resid @ (resid if w is None else w * resid))
-        sigma2 = wrss / dof
-    else:
-        sigma2 = 0.0
-    cov = sigma2 * lu_solve(factor, np.eye(p))
-    cov = 0.5 * (cov + cov.T)
-    return FitResult(coef, cov, resid, converged=True, iterations=0, fitted=y - resid)
+        # Least squares on rows scaled by sqrt(w) has the weighted normal
+        # equations and residual sum of squares.
+        root = np.sqrt(w)
+        xs, ys = x * root[:, None], y * root
+    coef, cov, resid, errors, _ = estimating_solve(xs[None], ys[None], context="wls_fit")
+    _raise_first(errors)
+    coef = coef[0]
+    # With weights the solve's residuals are those of the scaled rows.
+    resid = resid[0] if weights is None else y - x @ coef
+    return FitResult(coef, cov[0], resid, converged=True, iterations=0, fitted=y - resid)
 
 
-def _logistic_loglik(eta: np.ndarray, a: np.ndarray) -> float:
-    # sum a*eta - log(1 + exp(eta)), stable for large |eta|
-    return float(a @ eta - np.logaddexp(0.0, eta).sum())
+def _logistic_loglik(eta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # sum a*eta - log(1 + exp(eta)) per row, stable for large |eta|
+    return _rowdot(a, eta) - np.logaddexp(0.0, eta).sum(axis=-1)
+
+
+def logistic_stack(x: np.ndarray, a: np.ndarray):
+    """Logistic regression by IRLS for each replication of a stack.
+
+    ``x`` is (R, n, p) and ``a`` the (R, n) 0/1 responses.  Every
+    replication follows :func:`logistic_fit`'s iteration on its own: each
+    leaves the iteration when it converges or fails, and step halving runs
+    only for the replications whose likelihood fell.
+
+    Returns ``(phi, cov, prob, iterations, errors)``: coefficients (R, p),
+    inverse Fisher information (R, p, p), fitted probabilities (R, n),
+    iterations used (R,), and per replication None or the
+    :class:`SingularSystemError` / :class:`NonConvergenceError` that stopped
+    it (not raised).  Rows of failed replications are NaN.
+    """
+    reps, _, p = x.shape
+    phi = np.zeros((reps, p))
+    eta = _matvec(x, phi)
+    loglik = _logistic_loglik(eta, a)
+    score_norm = np.full(reps, np.inf)
+    iterations = np.zeros(reps, dtype=int)
+    factors = [None] * reps
+    errors = [None] * reps
+    active = np.arange(reps)
+
+    def information(rows, xs):
+        # Score and information at the current iterate of ``rows``.
+        prob = expit(_take(eta, rows))
+        score = _matvec(_swap(xs), _take(a, rows) - prob)
+        score_norm[rows] = np.abs(score).max(axis=-1, initial=0.0)
+        w = prob * (1.0 - prob)
+        factored, failed, _ = lu_stack(_matmul(_swap(xs * w[..., None]), xs), "logistic_fit")
+        return score, factored, failed
+
+    for it in range(1, IRLS_MAX_ITER + 1):
+        if not active.size:
+            break
+        xs = _take(x, active)
+        score, factored, failed = information(active, xs)
+        going = []
+        for j, r in enumerate(active.tolist()):
+            if failed[j] is not None:
+                # After the first iteration, degenerate information means the
+                # likelihood is maximized at infinity, not at an interior point.
+                errors[r] = failed[j] if it == 1 else NonConvergenceError(
+                    f"logistic fit did not converge (degenerate information after "
+                    f"{it - 1} iterations, score norm {score_norm[r]:.3e})",
+                    score_norm=float(score_norm[r]),
+                )
+            elif score_norm[r] < IRLS_TOL:
+                factors[r], iterations[r] = factored[j], it
+            else:
+                going.append(j)
+        if len(going) < active.size:
+            going = np.asarray(going, dtype=int)
+            active, xs, score = active[going], xs[going], score[going]
+            factored = [factored[j] for j in going]
+            if not active.size:
+                break
+        step = lu_solve_stack(factored, score)
+        base, base_loglik, a_act = _take(phi, active), _take(loglik, active), _take(a, active)
+        cand = base + step
+        cand_eta = _matvec(xs, cand)
+        cand_loglik = _logistic_loglik(cand_eta, a_act)
+        halve = np.flatnonzero(cand_loglik < base_loglik)
+        for _ in range(50):
+            if not halve.size:
+                break
+            step[halve] = 0.5 * step[halve]
+            cand[halve] = base[halve] + step[halve]
+            halved_eta = _matvec(_take(xs, halve), cand[halve])
+            halved_loglik = _logistic_loglik(halved_eta, _take(a_act, halve))
+            cand_eta = _put(cand_eta, halve, halved_eta)
+            cand_loglik[halve] = halved_loglik
+            halve = halve[halved_loglik < base_loglik[halve]]
+        phi = _put(phi, active, cand)
+        eta = _put(eta, active, cand_eta)
+        loglik = _put(loglik, active, cand_loglik)
+        small = np.abs(step).max(axis=-1, initial=0.0) < IRLS_TOL
+        if small.any():
+            rows = active[small]
+            _, factored, failed = information(rows, _take(xs, np.flatnonzero(small)))
+            for j, r in enumerate(rows.tolist()):
+                errors[r] = failed[j]
+                factors[r], iterations[r] = factored[j], it
+            active = active[~small]
+    for r in active:
+        errors[r] = NonConvergenceError(
+            f"logistic fit did not converge in {IRLS_MAX_ITER} iterations "
+            f"(score norm {score_norm[r]:.3e})",
+            score_norm=float(score_norm[r]),
+        )
+    # A final iterate that classifies every row perfectly with saturated
+    # probabilities means the data are separated and the MLE diverges.  The
+    # magnitude guard only rules out boundary-noise false positives; the
+    # score stop can fire as early as |eta| ~ log(n/tol), hence 15, not
+    # something larger.
+    perfect = np.all((2.0 * a - 1.0) * eta > 0.0, axis=-1)
+    for r in np.flatnonzero(perfect):
+        if errors[r] is None and np.abs(eta[r]).max() > 15.0:
+            factors[r] = None
+            errors[r] = NonConvergenceError(
+                f"logistic fit did not converge: data are completely separated "
+                f"(score norm {score_norm[r]:.3e})",
+                score_norm=float(score_norm[r]),
+            )
+    cov = lu_solve_stack(factors, np.broadcast_to(np.eye(p), (reps, p, p)))
+    cov = 0.5 * (cov + _swap(cov))
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    phi[failed] = np.nan
+    prob = expit(eta)
+    prob[failed] = np.nan
+    return phi, cov, prob, iterations, errors
 
 
 def logistic_fit(x, a) -> FitResult:
@@ -247,68 +488,8 @@ def logistic_fit(x, a) -> FitResult:
         raise InvalidParameterError("design and response shapes do not match")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise InvalidParameterError("response must be binary 0/1")
-    n, p = x.shape
-    phi = np.zeros(p)
-    eta = x @ phi
-    loglik = _logistic_loglik(eta, a)
-    score_norm = np.inf
-    for it in range(1, IRLS_MAX_ITER + 1):
-        prob = expit(eta)
-        score = x.T @ (a - prob)
-        score_norm = float(np.max(np.abs(score))) if p else 0.0
-        w = prob * (1.0 - prob)
-        try:
-            factor = _lu_checked((x * w[:, None]).T @ x, "logistic_fit")
-        except SingularSystemError:
-            if it == 1:
-                raise
-            # Information degenerated along the path: the likelihood is
-            # maximized at infinity, not at an interior point.
-            raise NonConvergenceError(
-                f"logistic fit did not converge (degenerate information after "
-                f"{it - 1} iterations, score norm {score_norm:.3e})",
-                score_norm=score_norm,
-            ) from None
-        if score_norm < IRLS_TOL:
-            break
-        step = lu_solve(factor, score)
-        cand = phi + step
-        cand_eta = x @ cand
-        cand_loglik = _logistic_loglik(cand_eta, a)
-        halvings = 0
-        while cand_loglik < loglik and halvings < 50:
-            step = 0.5 * step
-            cand = phi + step
-            cand_eta = x @ cand
-            cand_loglik = _logistic_loglik(cand_eta, a)
-            halvings += 1
-        phi, eta, loglik = cand, cand_eta, cand_loglik
-        if float(np.max(np.abs(step))) < IRLS_TOL:
-            prob = expit(eta)
-            score = x.T @ (a - prob)
-            score_norm = float(np.max(np.abs(score)))
-            w = prob * (1.0 - prob)
-            factor = _lu_checked((x * w[:, None]).T @ x, "logistic_fit")
-            break
-    else:
-        raise NonConvergenceError(
-            f"logistic fit did not converge in {IRLS_MAX_ITER} iterations "
-            f"(score norm {score_norm:.3e})",
-            score_norm=score_norm,
-        )
-    # A final iterate that classifies every row perfectly with saturated
-    # probabilities means the data are separated and the MLE diverges.  The
-    # magnitude guard only rules out boundary-noise false positives; the
-    # score stop can fire as early as |eta| ~ log(n/tol), hence 15, not
-    # something larger.
-    signed_eta = (2.0 * a - 1.0) * eta
-    if np.all(signed_eta > 0.0) and float(np.max(np.abs(eta))) > 15.0:
-        raise NonConvergenceError(
-            f"logistic fit did not converge: data are completely separated "
-            f"(score norm {score_norm:.3e})",
-            score_norm=score_norm,
-        )
-    cov = lu_solve(factor, np.eye(p))
-    cov = 0.5 * (cov + cov.T)
-    prob = expit(eta)
-    return FitResult(phi, cov, a - prob, converged=True, iterations=it, fitted=prob)
+    phi, cov, prob, iterations, errors = logistic_stack(x[None], a[None])
+    _raise_first(errors)
+    return FitResult(
+        phi[0], cov[0], a - prob[0], converged=True, iterations=int(iterations[0]), fitted=prob[0]
+    )

@@ -5,7 +5,7 @@ linear in an action-free part and an action-by-contrast part,
 
     Q_K(h, a) = x_h(h)' beta_K + a * x_c(h)' psi_K,
 
-by (weighted) least squares on the stacked design [x_h | a * x_c].  The
+by least squares on the stacked design [x_h | a * x_c].  The
 fitted stage then induces the pseudo-outcome
 
     v_i = x_h(h_i)' beta_hat + max(0, x_c(h_i)' psi_hat),
@@ -17,15 +17,16 @@ x_c' psi_hat_k > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .data import Dataset, DecisionRule, Regime, StageFit, StageSpec, build_design
+from .data import Dataset, StageFit, build_design
 from .errors import InvalidParameterError
-from .numerics import wls_fit
+from .numerics import _matvec, _take, estimating_solve, wls_fit
+from .recursion import RegimeFit, backward_fit, single_fit
 
-__all__ = ["QLearnResult", "q_pseudo_outcome", "q_stage_fit", "qlearn_fit"]
+__all__ = ["QLearnResult", "q_pseudo_outcome", "q_stage_fit", "qlearn_fit", "qlearn_stack"]
+
+QLearnResult = RegimeFit
 
 
 def q_stage_fit(design_h, design_c, actions, v, weights=None, stage: int = 0) -> StageFit:
@@ -44,16 +45,19 @@ def q_stage_fit(design_h, design_c, actions, v, weights=None, stage: int = 0) ->
         raise InvalidParameterError("stage inputs must share one row per trajectory")
     design = np.hstack([design_h, actions[:, None] * design_c])
     fit = wls_fit(design, v, weights)
-    p_h = design_h.shape[1]
+    return _stage_fit(stage, design_h.shape[1], fit.coefficients, fit.covariance, v, fit.residuals)
+
+
+def _stage_fit(stage: int, p_h: int, theta, cov, v, resid) -> StageFit:
     return StageFit(
         stage=stage,
-        psi=fit.coefficients[p_h:],
-        beta=fit.coefficients[:p_h],
-        psi_cov=fit.covariance[p_h:, p_h:],
-        beta_cov=fit.covariance[:p_h, :p_h],
+        psi=theta[..., p_h:],
+        beta=theta[..., :p_h],
+        psi_cov=cov[..., p_h:, p_h:],
+        beta_cov=cov[..., :p_h, :p_h],
         v=v,
-        residuals=fit.residuals,
-        n_used=n,
+        residuals=resid,
+        n_used=v.shape[-1],
     )
 
 
@@ -62,21 +66,30 @@ def q_pseudo_outcome(stage_fit: StageFit, design_h, design_c) -> np.ndarray:
 
     Computes ``design_h @ beta + max(0, design_c @ psi)`` row-wise; the
     result is never below the no-treatment prediction ``design_h @ beta``.
+    Stacked designs and coefficients give one row per replication.
     """
-    baseline = np.asarray(design_h, dtype=float) @ stage_fit.beta
-    contrast = np.asarray(design_c, dtype=float) @ stage_fit.psi
+    baseline = _matvec(np.asarray(design_h, dtype=float), stage_fit.beta)
+    contrast = _matvec(np.asarray(design_c, dtype=float), stage_fit.psi)
     return baseline + np.maximum(contrast, 0.0)
 
 
-@dataclass
-class QLearnResult:
-    """Per-stage fits and the estimated regime they induce."""
+def _stage(dataset: Dataset, k: int, spec, v, live):
+    design_h = _take(build_design(dataset, k, spec.h_features), live)
+    design_c = _take(build_design(dataset, k, spec.c_features), live)
+    actions = _take(dataset.action_col(k), live).astype(float)
+    design = np.concatenate([design_h, actions[..., None] * design_c], axis=-1)
+    theta, cov, resid, errors, _ = estimating_solve(design, v, context=f"qlearn stage {k}")
+    fit = _stage_fit(k, design_h.shape[-1], theta, cov, v, resid)
+    return fit, errors, q_pseudo_outcome(fit, design_h, design_c)
 
-    stage_fits: list
-    regime: Regime
+
+def qlearn_stack(dataset: Dataset, specs):
+    """Q-learning on every replication of a stacked dataset; see
+    :func:`dtrkit.recursion.backward_fit`."""
+    return backward_fit(dataset, specs, _stage)
 
 
-def qlearn_fit(dataset: Dataset, specs, weights=None, masks=None) -> QLearnResult:
+def qlearn_fit(dataset: Dataset, specs) -> RegimeFit:
     """Backward recursion over all stages of ``dataset``.
 
     Parameters
@@ -84,42 +97,10 @@ def qlearn_fit(dataset: Dataset, specs, weights=None, masks=None) -> QLearnResul
     dataset : Dataset
     specs : sequence of StageSpec
         One working model per stage; propensity entries are ignored here.
-    weights : sequence of ndarray or None
-        Optional per-stage case weights (None for OLS, the default).
-    masks : sequence of ndarray or None
-        Optional per-stage boolean row masks; a stage is fit on its masked
-        rows while pseudo-outcomes are still produced for every row.
+
+    Raises
+    ------
+    SingularSystemError
+        If a stage's least-squares system is numerically rank deficient.
     """
-    n_stages = dataset.n_stages
-    if len(specs) != n_stages:
-        raise InvalidParameterError("need one stage spec per dataset stage")
-    fits: list[StageFit | None] = [None] * n_stages
-    v = dataset.y
-    for k in range(n_stages, 0, -1):
-        spec = specs[k - 1]
-        design_h = build_design(dataset, k, spec.h_features)
-        design_c = build_design(dataset, k, spec.c_features)
-        actions = dataset.action_col(k)
-        w = None if weights is None else weights[k - 1]
-        mask = None if masks is None else masks[k - 1]
-        if mask is None:
-            fit = q_stage_fit(design_h, design_c, actions, v, w, stage=k)
-        else:
-            mask = np.asarray(mask, dtype=bool)
-            fit = q_stage_fit(
-                design_h[mask],
-                design_c[mask],
-                actions[mask],
-                v[mask],
-                None if w is None else w[mask],
-                stage=k,
-            )
-        fits[k - 1] = fit
-        if k > 1:
-            v = q_pseudo_outcome(fit, design_h, design_c)
-    regime = Regime(
-        tuple(
-            DecisionRule(specs[k].c_features, fits[k].psi) for k in range(n_stages)
-        )
-    )
-    return QLearnResult(stage_fits=fits, regime=regime)
+    return single_fit(dataset, specs, _stage)

@@ -35,6 +35,8 @@ scenario is parameterized by standard deviations (``*_sd``).
 Each generator draws every variable from its own substream of the stream it
 is given, in time order (s1, a1, s2, a2, outcome noise), so draws are prefix
 stable in n and an edit to one variable's law never shifts another's draws.
+Given a :class:`~dtrkit.rng.StreamStack` of R streams, the same code draws R
+datasets side by side and returns them as one stacked :class:`Dataset`.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def gen_one_decision(params: OneDecisionParams, n: int, stream: RngStream) -> Da
     a1 = stream.substream(1).bernoulli(expit(f[0] + f[1] * s1 + f[2] * s1 * s1), n)
     eps = stream.substream(2).normal(n, scale=sd)
     y = b[0] + b[1] * s1 + b[2] * s1 * s1 + a1 * (p[0] + p[1] * s1) + eps
-    return Dataset((s1[:, None],), (a1,), y)
+    return Dataset((s1[..., None],), (a1,), y)
 
 
 def gen_two_decision(params: TwoDecisionParams, n: int, stream: RngStream) -> Dataset:
@@ -153,7 +155,7 @@ def gen_two_decision(params: TwoDecisionParams, n: int, stream: RngStream) -> Da
     h2 = b2[0] + b2[1] * s1 + b2[2] * a1 + b2[3] * s1 * a1 + b2[4] * s2 + b2[5] * s2 * s2
     c2 = p2[0] + p2[1] * a1 + p2[2] * s2
     y = h2 + a2 * c2 + eps
-    return Dataset((s1[:, None], s2[:, None]), (a1, a2), y)
+    return Dataset((s1[..., None], s2[..., None]), (a1, a2), y)
 
 
 def gen_moodie(params: MoodieParams, n: int, stream: RngStream) -> Dataset:
@@ -174,7 +176,7 @@ def gen_moodie(params: MoodieParams, n: int, stream: RngStream) -> Dataset:
     c1 = p1[0] + p1[1] * s1
     c2 = p2[0] + p2[1] * s2
     y = yopt - c1 * ((c1 > 0.0) - a1) - c2 * ((c2 > 0.0) - a2)
-    return Dataset((s1[:, None], s2[:, None]), (a1, a2), y)
+    return Dataset((s1[..., None], s2[..., None]), (a1, a2), y)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dtrkit import alearn
 from dtrkit.alearn import (
     a_pseudo_outcome,
     alearn_fit,
@@ -81,6 +82,12 @@ class TestStageSolve:
         xc = np.ones((n, 1))
         with pytest.raises(SingularSystemError):
             alearn_stage_solve(xh, xc, a1, a1.astype(float), s1)
+
+    def test_unsolved_moment_equations_are_a_numerical_error(self, monkeypatch):
+        ds, xh, xc, pi = _one_stage_data()
+        monkeypatch.setattr(alearn, "MOMENT_TOL", 0.0)
+        with pytest.raises(SingularSystemError, match="estimating equations not solved"):
+            alearn_stage_solve(xh, xc, ds.actions[0], pi, ds.y, stage=1)
 
     def test_covariance_calibration(self):
         # model-based covariance tracks the Monte Carlo spread

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import dtrkit
-from dtrkit import __version__
+from dtrkit import __version__, alearn
 from dtrkit.cli import main
 
 
@@ -187,6 +187,18 @@ class TestFit:
         code, _, err = _run(capsys, "fit", str(path), "--out-dir", str(tmp_path))
         assert code == 3
         assert "error" in err
+
+    def test_fit_unsolved_moment_equations_exit_3(self, capsys, tmp_path, monkeypatch):
+        data = self._simulate(capsys, tmp_path, n=100)
+        body = {
+            "scenario": {"name": "one_decision"},
+            "fit": {"dataset": str(data), "estimator": "alearn"},
+        }
+        path = _write_config(tmp_path, body)
+        monkeypatch.setattr(alearn, "MOMENT_TOL", 0.0)
+        code, _, err = _run(capsys, "fit", str(path), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "estimating equations not solved" in err
 
     def test_fit_bad_estimator(self, capsys, tmp_path):
         data = self._simulate(capsys, tmp_path, n=50)
@@ -461,6 +473,21 @@ class TestConsoleScript:
         )
         assert run.returncode == 2
         assert "cannot read config file" in run.stderr
+
+    def test_import_loads_neither_linalg_nor_process_pool(self):
+        code = (
+            "import sys, dtrkit; "
+            "print([m for m in ('scipy.linalg', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=_subprocess_env(),
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_project_scripts_target(self):
         tomllib = pytest.importorskip("tomllib")

@@ -21,6 +21,8 @@ from dtrkit.evaluate import (
     value_one_decision_analytic,
     value_two_decision_analytic,
 )
+from dtrkit import alearn
+from dtrkit.alearn import alearn_fit
 from dtrkit.qlearn import qlearn_fit
 from dtrkit.rng import RngStream, make_stream
 from dtrkit.scenarios import (
@@ -313,3 +315,38 @@ class TestRunStudy:
     def test_failure_error_above_ten_percent(self):
         with pytest.raises(StudyError, match="refusing to summarize"):
             run_mc_study(StudyConfig("one_decision", n=10, reps=200, master_seed=5))
+
+    def test_mse_ratio_on_replications_where_both_succeed(self):
+        res = run_mc_study(StudyConfig("two_decision", n=30, reps=400, master_seed=3))
+        assert res.failed["qlearn"].sum() == 2
+        assert res.failed["alearn"].sum() == 19
+        both = ~(res.failed["qlearn"] | res.failed["alearn"])
+        mse = {
+            est: ((res.psi_rep[est][both] - res.psi_true) ** 2).mean(axis=0)
+            for est in res.psi_rep
+        }
+        assert_array_equal(res.mse_ratio, mse["alearn"] / mse["qlearn"])
+
+    def test_unsolved_moment_equations_fail_one_replication(self, monkeypatch):
+        # Force the moment check to fail for exactly the replication with
+        # the largest relative moment norm; the study counts it as failed
+        # and every other row is unchanged.
+        config = StudyConfig("two_decision", n=60, reps=12, master_seed=4)
+        base = run_mc_study(config)
+        definition = scenario_registry("two_decision")
+        ratios = []
+        for r in range(12):
+            dataset = definition.generate(definition.params_cls(), 60, make_stream(4, r))
+            fits = alearn_fit(dataset, definition.working_specs()).stage_fits
+            ratios.append(max(f.moment_inf_norm / (1.0 + np.max(np.abs(f.v))) for f in fits))
+        worst = int(np.argmax(ratios))
+        top_two = sorted(ratios)[-2:]
+        monkeypatch.setattr(alearn, "MOMENT_TOL", 0.5 * (top_two[0] + top_two[1]))
+        res = run_mc_study(config)
+        assert_array_equal(res.failed["alearn"], np.arange(12) == worst)
+        assert not res.failed["qlearn"].any()
+        assert res.n_failed == 1
+        keep = np.arange(12) != worst
+        for est in ("qlearn", "alearn"):
+            assert_array_equal(res.psi_rep[est][keep], base.psi_rep[est][keep])
+            assert_array_equal(res.value_rep[est][keep], base.value_rep[est][keep])

@@ -122,33 +122,6 @@ class TestQlearnFit:
         with pytest.raises(InvalidParameterError, match="one stage spec"):
             qlearn_fit(ds, two_decision_specs()[:1])
 
-    def test_masks_fit_on_subset_only(self):
-        ds, _, _ = _noiseless_two_stage(n=100)
-        mask2 = np.arange(100) < 70
-        masks = [np.ones(100, dtype=bool), mask2]
-        masked = qlearn_fit(ds, two_decision_specs(), masks=masks)
-        sub = Dataset(
-            (ds.states[0][:70], ds.states[1][:70]),
-            (ds.actions[0][:70], ds.actions[1][:70]),
-            ds.y[:70],
-        )
-        # stage-2 coefficients must match a fit on the kept rows alone
-        direct = qlearn_fit(sub, two_decision_specs())
-        assert_allclose(masked.stage_fits[1].psi, direct.stage_fits[1].psi, atol=1e-12)
-        assert masked.stage_fits[1].n_used == 70
-        # but stage 1 still sees pseudo-outcomes for all 100 rows
-        assert masked.stage_fits[0].n_used == 100
-
-    def test_weights_shift_fit(self):
-        ds, _, _ = _noiseless_two_stage(n=50)
-        rng = np.random.default_rng(9)
-        noisy_y = ds.y + rng.normal(size=50)
-        ds2 = Dataset(ds.states, ds.actions, noisy_y)
-        w = [np.where(np.arange(50) < 25, 4.0, 1.0)] * 2
-        fit_w = qlearn_fit(ds2, two_decision_specs(), weights=w)
-        fit_o = qlearn_fit(ds2, two_decision_specs())
-        assert not np.allclose(fit_w.stage_fits[1].psi, fit_o.stage_fits[1].psi)
-
     def test_large_sample_consistency(self):
         # correct models: both stages' contrasts converge to the truth
         params = TwoDecisionParams()
