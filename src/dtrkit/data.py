@@ -176,12 +176,12 @@ class FeatureMap:
         """Model matrix of shape (..., columns.n, n_features).
 
         Stacked columns of shape (R, n) give a stack of R model matrices.
+        The row shape comes from the columns, not the terms: a constant term
+        is one row of ones, whatever the stack.
         """
-        if not self.terms:
-            rows = columns.y.shape if isinstance(columns, Dataset) else (columns.n,)
-            return np.empty(rows + (0,))
+        rows = columns.y.shape if isinstance(columns, Dataset) else (columns.n,)
         values = [t.evaluate(columns) for t in self.terms]
-        out = np.empty(np.broadcast_shapes(*(v.shape for v in values)) + (len(values),))
+        out = np.empty(np.broadcast_shapes(rows, *(v.shape for v in values)) + (len(values),))
         for j, v in enumerate(values):
             out[..., j] = v
         return out

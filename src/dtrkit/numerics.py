@@ -40,6 +40,7 @@ __all__ = [
     "lu_stack",
     "norm_cdf",
     "norm_pdf",
+    "require_rows",
     "solve_linear",
     "trunc_norm_moments",
     "wls_fit",
@@ -254,6 +255,14 @@ def solve_linear(a, b):
     return lu_solve_stack(factors, b[None])[0]
 
 
+def require_rows(x: np.ndarray) -> None:
+    """Raise :class:`InvalidParameterError` if a design (or stack of
+    designs) of shape (..., n, p) has fewer rows than columns."""
+    n, p = x.shape[-2:]
+    if n < p:
+        raise InvalidParameterError(f"need at least p={p} rows, got n={n}")
+
+
 def estimating_solve(x: np.ndarray, v: np.ndarray, g: np.ndarray | None = None, *, context: str):
     """Solve the linear estimating equations (G'X) theta = G'v for each
     replication of a stack.
@@ -266,16 +275,11 @@ def estimating_solve(x: np.ndarray, v: np.ndarray, g: np.ndarray | None = None, 
 
     Returns ``(theta, cov, resid, errors, min_rel_pivot)``; ``errors`` and
     ``min_rel_pivot`` are as in :func:`lu_stack`, and the rows of a
-    replication whose system is singular are NaN.
-
-    Raises
-    ------
-    InvalidParameterError
-        If n < p.
+    replication whose system is singular are NaN.  With n < p, G'X has rank
+    at most n, so every replication fails the rank check; least-squares
+    callers reject that case up front with :func:`require_rows`.
     """
     n, p = x.shape[-2:]
-    if n < p:
-        raise InvalidParameterError(f"need at least p={p} rows, got n={n}")
     gt = _swap(x if g is None else g)
     factors, errors, min_rel_pivot = lu_stack(_matmul(gt, x), context)
     theta = lu_solve_stack(factors, _matvec(gt, v))
@@ -319,6 +323,7 @@ def wls_fit(x, y, weights=None) -> FitResult:
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    require_rows(x)
     n = x.shape[0]
     if weights is None:
         xs, ys = x, y

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, StageFit, build_design
 from .errors import InvalidParameterError
-from .numerics import _matvec, _take, estimating_solve, wls_fit
+from .numerics import _matvec, _take, estimating_solve, require_rows, wls_fit
 from .recursion import RegimeFit, backward_fit, single_fit
 
 __all__ = ["QLearnResult", "q_pseudo_outcome", "q_stage_fit", "qlearn_fit", "qlearn_stack"]
@@ -78,6 +78,7 @@ def _stage(dataset: Dataset, k: int, spec, v, live):
     design_c = _take(build_design(dataset, k, spec.c_features), live)
     actions = _take(dataset.action_col(k), live).astype(float)
     design = np.concatenate([design_h, actions[..., None] * design_c], axis=-1)
+    require_rows(design)
     theta, cov, resid, errors, _ = estimating_solve(design, v, context=f"qlearn stage {k}")
     fit = _stage_fit(k, design_h.shape[-1], theta, cov, v, resid)
     return fit, errors, q_pseudo_outcome(fit, design_h, design_c)
@@ -100,6 +101,8 @@ def qlearn_fit(dataset: Dataset, specs) -> RegimeFit:
 
     Raises
     ------
+    InvalidParameterError
+        If a stage design has fewer rows than columns.
     SingularSystemError
         If a stage's least-squares system is numerically rank deficient.
     """

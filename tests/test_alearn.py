@@ -183,6 +183,40 @@ class TestAlearnFit:
         assert_allclose(afit.psi, qfit.psi, atol=1e-8)
         assert_allclose(afit.beta, qfit.beta, atol=1e-8)
 
+    def test_intercept_only_models(self):
+        # h = c = propensity = ["1"]: every model matrix is a column of ones.
+        # The fitted propensity is the treated share up to the IRLS
+        # tolerance, and each stage solves a 2x2 system in that constant:
+        # sum (a - pbar)(v - beta - a psi) = 0 and sum (v - beta - a psi) = 0.
+        ds = gen_two_decision(TwoDecisionParams(), 200, RngStream(8, 0))
+        specs = tuple(StageSpec.parse(h=["1"], c=["1"], propensity=["1"]) for _ in range(2))
+        result = alearn_fit(ds, specs)
+        v = ds.y
+        for k in (2, 1):
+            fit = result.stage_fits[k - 1]
+            a = ds.actions[k - 1].astype(float)
+            pbar = fit.pihat[0]
+            assert_array_equal(fit.pihat, np.full(200, pbar))
+            assert pbar == pytest.approx(a.mean(), rel=1e-7)
+            m = np.array([[np.sum((a - pbar) * a), np.sum(a - pbar)], [np.sum(a), 200.0]])
+            psi, beta = np.linalg.solve(m, [np.sum((a - pbar) * v), np.sum(v)])
+            assert_allclose(fit.psi, [psi], rtol=1e-8)
+            assert_allclose(fit.beta, [beta], rtol=1e-8)
+            v = a_pseudo_outcome(v, np.full(200, fit.psi[0]), a)
+        q = qlearn_fit(ds, specs).stage_fits[1]
+        a2 = ds.actions[1].astype(bool)
+        assert_allclose(q.psi, [ds.y[a2].mean() - ds.y[~a2].mean()], rtol=1e-10)
+
+    def test_fewer_rows_than_parameters_is_singular(self):
+        # G'X has rank at most n < p, so the stage system is singular: a
+        # numerical failure, not a bad parameter.
+        ds = gen_one_decision(OneDecisionParams(), 4, RngStream(1, 0))
+        spec = StageSpec.parse(h=["1", "s1", "s1^2"], c=["1", "s1"], propensity=0.5)
+        with pytest.raises(SingularSystemError, match="alearn stage 1"):
+            alearn_fit(ds, (spec,))
+        with pytest.raises(InvalidParameterError, match="need at least p=5 rows"):
+            qlearn_fit(ds, (spec,))
+
     def test_two_stage_pipeline_consistency(self):
         params = TwoDecisionParams()
         ds = gen_two_decision(params, 100_000, RngStream(55, 0))

@@ -200,6 +200,39 @@ class TestFit:
         assert code == 3
         assert "estimating equations not solved" in err
 
+    def test_fit_intercept_only_specs(self, capsys, tmp_path):
+        data = self._simulate(capsys, tmp_path, n=100)
+        body = {
+            "scenario": {"name": "one_decision"},
+            "fit": {
+                "dataset": str(data),
+                "specs": [{"h": ["1"], "c": ["1"], "propensity": ["1"]}],
+            },
+        }
+        path = _write_config(tmp_path, body)
+        code, _, _ = _run(capsys, "fit", str(path), "--out-dir", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        for est in ("qlearn", "alearn"):
+            assert len(payload["estimates"][est][0]["psi"]) == 1
+            assert len(payload["estimates"][est][0]["beta"]) == 1
+        assert len(payload["estimates"]["alearn"][0]["phi"]) == 1
+
+    def test_fit_alearn_fewer_rows_than_parameters_exits_3(self, capsys, tmp_path):
+        data = self._simulate(capsys, tmp_path, n=4)
+        body = {
+            "scenario": {"name": "one_decision"},
+            "fit": {
+                "dataset": str(data),
+                "estimator": "alearn",
+                "specs": [{"h": ["1", "s1", "s1^2"], "c": ["1", "s1"], "propensity": 0.5}],
+            },
+        }
+        path = _write_config(tmp_path, body)
+        code, _, err = _run(capsys, "fit", str(path), "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "singular" in err
+
     def test_fit_bad_estimator(self, capsys, tmp_path):
         data = self._simulate(capsys, tmp_path, n=50)
         body = {
@@ -347,6 +380,22 @@ class TestStudy:
                 else:
                     assert all(p != "" for p in block)
         assert saw_failure
+
+    def test_study_intercept_only_propensity(self, capsys, tmp_path):
+        body = {
+            "seed": 21,
+            "scenario": {"name": "one_decision"},
+            "study": {
+                "n": 80,
+                "reps": 10,
+                "specs": [{"h": ["1"], "c": ["1", "s1"], "propensity": ["1"]}],
+            },
+        }
+        path = _write_config(tmp_path, body)
+        code, _, _ = _run(capsys, "study", str(path), "--out-dir", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "study.json").read_text())
+        assert payload["n_failed"] == 0
 
     def test_study_missing_reps(self, capsys, tmp_path):
         body = {"scenario": {"name": "one_decision"}, "study": {"n": 50}}

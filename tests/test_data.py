@@ -114,6 +114,21 @@ class TestFeatureMap:
     def test_evaluate_empty(self):
         assert FeatureMap(()).evaluate(_small_dataset()).shape == (4, 0)
 
+    def test_evaluate_constant_only_on_a_stack(self):
+        # The row shape follows the dataset, not the constant term's (n,).
+        ds = _small_dataset()
+        stack = Dataset(
+            tuple(np.stack([s, 2.0 * s]) for s in ds.states),
+            tuple(np.stack([a, 1 - a]) for a in ds.actions),
+            np.stack([ds.y, -ds.y]),
+        )
+        assert_array_equal(FeatureMap.parse(["1"]).evaluate(ds), np.ones((4, 1)))
+        assert_array_equal(FeatureMap.parse(["1", "1"]).evaluate(stack), np.ones((2, 4, 2)))
+        assert FeatureMap(()).evaluate(stack).shape == (2, 4, 0)
+        mixed = FeatureMap.parse(["1", "s1"]).evaluate(stack)
+        assert_array_equal(mixed[..., 0], np.ones((2, 4)))
+        assert_array_equal(mixed[..., 1], stack.states[0][..., 0])
+
     def test_evaluate_on_array_columns(self):
         cols = ArrayColumns(
             3, states={1: np.array([1.0, 2.0, 3.0])}, actions={1: np.array([0, 1, 1])}

@@ -16,10 +16,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dtrkit import evaluate, scenarios
+from dtrkit.alearn import alearn_fit
 from dtrkit.cli import main
+from dtrkit.data import StageSpec
 from dtrkit.errors import InvalidParameterError, StudyError
 from dtrkit.evaluate import StudyConfig, run_mc_study
-from dtrkit.rng import RngStream, StreamStack
+from dtrkit.qlearn import qlearn_fit
+from dtrkit.rng import RngStream, StreamStack, make_stream
 
 ROOT = Path(__file__).resolve().parents[1]
 UINT64 = st.integers(0, 2**64 - 1)
@@ -131,6 +134,24 @@ def test_failures_invariant_to_chunks(scenario, n):
         _assert_rows_equal(res, ref, 400)
         assert res.n_extreme_propensity == ref.n_extreme_propensity
         assert res.propensity_sd == ref.propensity_sd
+
+
+def test_intercept_only_models_fit_each_replication():
+    # Feature maps of constants alone still give one model matrix per
+    # replication, and each row is the fit of that replication alone.
+    specs = tuple(
+        StageSpec.parse(h=["1"], c=c, propensity=["1"]) for c in (["1", "s1"], ["1", "a1", "s2"])
+    )
+    config = StudyConfig("two_decision", n=40, reps=9, master_seed=6, specs=specs)
+    ref = run_mc_study(config)
+    assert not any(ref.failed[est].any() for est in ref.failed)
+    _assert_rows_equal(_study(config, 4), ref, 9)
+    definition = scenarios.scenario_registry("two_decision")
+    for r in (0, 8):
+        dataset = definition.generate(definition.params_cls(), 40, make_stream(6, r))
+        for est, fit in (("qlearn", qlearn_fit), ("alearn", alearn_fit)):
+            psi = np.concatenate([f.psi for f in fit(dataset, specs).stage_fits])
+            assert ref.psi_rep[est][r].tobytes() == psi.tobytes()
 
 
 def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
