@@ -18,7 +18,6 @@ from .data import (
     Regime,
     StageFit,
     StageSpec,
-    Trajectory,
     apply_regime,
     build_design,
     read_dataset_csv,
@@ -39,25 +38,19 @@ from .errors import (
 from .evaluate import (
     StudyConfig,
     StudyResults,
-    median_efficiency,
-    propensity_sd_diagnostic,
     regime_value_analytic,
     run_mc_study,
     value_gcomputation,
-    value_moodie_analytic,
-    value_one_decision_analytic,
-    value_two_decision_analytic,
 )
 from .numerics import (
     FitResult,
     logistic_fit,
-    norm_cdf,
     norm_pdf,
     solve_linear,
     trunc_norm_moments,
     wls_fit,
 )
-from .qlearn import QLearnResult, q_pseudo_outcome, q_stage_fit, qlearn_fit
+from .qlearn import QLearnResult, q_pseudo_outcome, qlearn_fit
 from .rng import RngStream, make_stream
 from .scenarios import (
     MoodieParams,
@@ -68,14 +61,10 @@ from .scenarios import (
     gen_one_decision,
     gen_two_decision,
     induced_q1_closed_form,
-    moodie_specs,
-    one_decision_full_specs,
-    one_decision_specs,
     scenario_params,
+    scenario_registry,
     true_psi,
     true_regime,
-    two_decision_full_specs,
-    two_decision_specs,
 )
 
 __version__ = "0.1.0"

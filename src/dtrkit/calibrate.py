@@ -29,54 +29,53 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import FeatureMap
 from .errors import CalibrationError, InvalidParameterError
 from .numerics import logistic_fit, wls_fit
 from .rng import make_stream
-from .scenarios import scenario_registry
+from .scenarios import scenario_names, scenario_registry
 
 __all__ = ["CalibrationResult", "calibrate_equiv_misspec", "check_tstat_balance"]
 
-_CAL_SETUPS = {
-    "one_decision": {
-        # full outcome design: h columns then action * contrast columns
-        "h": ["1", "s1", "s1^2"],
-        "c": ["1", "s1"],
-        "prop": ["1", "s1", "s1^2"],
-        "h_quad_idx": 2,
-        "prop_quad_idx": 2,
-        "set_beta": lambda params, b: replace(params, beta=(params.beta[0], params.beta[1], b)),
-        "set_phi": lambda params, f: replace(params, phi=(params.phi[0], params.phi[1], f)),
-    },
-    "two_decision": {
-        "h": ["1", "s1", "a1", "s1*a1", "s2", "s2^2"],
-        "c": ["1", "a1", "s2"],
-        "prop": ["1", "s1", "a1", "s2", "a1*s2", "s2^2"],
-        "h_quad_idx": 5,
-        "prop_quad_idx": 5,
-        "set_beta": lambda params, b: replace(params, beta2=params.beta2[:5] + (b,)),
-        "set_phi": lambda params, f: replace(params, phi2=params.phi2[:5] + (f,)),
-    },
-}
 
-
-def _cell_ses(scenario: str, setup: dict, beta_q: float, phi_q: float, n: int, stream):
-    """Standard errors of the two quadratic coefficients on one generated
-    dataset, from the fully specified fits."""
+def _calibration_setup(scenario: str):
+    """Registry entry and fully specified last stage of a scenario whose
+    quadratic coefficients calibration can move."""
+    supported = [name for name in scenario_names() if scenario_registry(name).calibration]
+    if scenario not in supported:
+        raise InvalidParameterError(f"calibration supports {supported}, got {scenario!r}")
     definition = scenario_registry(scenario)
-    params = setup["set_phi"](setup["set_beta"](definition.params_cls(), beta_q), phi_q)
+    return definition, definition.full_specs()[-1]
+
+
+def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream):
+    """``(beta_hat, se_beta, phi_hat, se_phi)`` of the two quadratic
+    coefficients, the last h and propensity features, from the fully
+    specified fits to one dataset generated with them set to ``beta_q`` and
+    ``phi_q``."""
+    params = definition.params_cls()
+    params = replace(
+        params,
+        **{
+            field: getattr(params, field)[:-1] + (value,)
+            for field, value in zip(definition.calibration, (beta_q, phi_q))
+        },
+    )
     dataset = definition.generate(params, n, stream)
     stage = definition.n_stages
-    h = FeatureMap.parse(setup["h"]).evaluate(dataset)
-    c = FeatureMap.parse(setup["c"]).evaluate(dataset)
+    h = spec.h_features.evaluate(dataset)
+    c = spec.c_features.evaluate(dataset)
     a = dataset.action_col(stage).astype(float)
     design = np.hstack([h, a[:, None] * c])
     out_fit = wls_fit(design, dataset.y)
-    se_beta = float(np.sqrt(out_fit.covariance[setup["h_quad_idx"], setup["h_quad_idx"]]))
-    prop_design = FeatureMap.parse(setup["prop"]).evaluate(dataset)
+    prop_design = spec.propensity.features.evaluate(dataset)
     prop_fit = logistic_fit(prop_design, dataset.action_col(stage))
-    se_phi = float(np.sqrt(prop_fit.covariance[setup["prop_quad_idx"], setup["prop_quad_idx"]]))
-    return se_beta, se_phi, out_fit, prop_fit
+    q = h.shape[1] - 1
+    return (
+        out_fit.coefficients[q],
+        float(np.sqrt(out_fit.covariance[q, q])),
+        prop_fit.coefficients[-1],
+        float(np.sqrt(prop_fit.covariance[-1, -1])),
+    )
 
 
 @dataclass
@@ -165,25 +164,21 @@ def calibrate_equiv_misspec(
     Raises ``CalibrationError`` if no degree up to ``poly_max_degree``
     meets both gates; the error reports the best fit achieved.
     """
-    if scenario not in _CAL_SETUPS:
-        raise InvalidParameterError(
-            f"calibration supports {sorted(_CAL_SETUPS)}, got {scenario!r}"
-        )
+    definition, spec = _calibration_setup(scenario)
     if step <= 0.0:
         raise InvalidParameterError("grid.step must be > 0")
     if grid_hi <= grid_lo:
         raise InvalidParameterError("grid.hi must exceed grid.lo")
     if n_cal < 10:
         raise InvalidParameterError("n_cal is too small to fit the models")
-    setup = _CAL_SETUPS[scenario]
     n_points = int(round((grid_hi - grid_lo) / step)) + 1
     grid = grid_lo + step * np.arange(n_points)
     cell_ratio = np.empty((n_points, n_points))
     cell = 0
     for i, phi_q in enumerate(grid):
         for j, beta_q in enumerate(grid):
-            se_beta, se_phi, _, _ = _cell_ses(
-                scenario, setup, float(beta_q), float(phi_q), n_cal,
+            _, se_beta, _, se_phi = _cell_ses(
+                definition, spec, float(beta_q), float(phi_q), n_cal,
                 make_stream(master_seed, cell),
             )
             cell_ratio[i, j] = se_phi / se_beta
@@ -218,22 +213,18 @@ def check_tstat_balance(pair, scenario: str, n: int, reps: int, master_seed: int
     Returns |difference| / mean of the two; a well calibrated pair stays
     within a few percent.
     """
-    if scenario not in _CAL_SETUPS:
-        raise InvalidParameterError(
-            f"calibration supports {sorted(_CAL_SETUPS)}, got {scenario!r}"
-        )
+    definition, spec = _calibration_setup(scenario)
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
     phi_q, beta_q = float(pair[0]), float(pair[1])
-    setup = _CAL_SETUPS[scenario]
     abs_t_beta = np.empty(reps)
     abs_t_phi = np.empty(reps)
     for r in range(reps):
-        se_beta, se_phi, out_fit, prop_fit = _cell_ses(
-            scenario, setup, beta_q, phi_q, n, make_stream(master_seed, r)
+        beta_hat, se_beta, phi_hat, se_phi = _cell_ses(
+            definition, spec, beta_q, phi_q, n, make_stream(master_seed, r)
         )
-        abs_t_beta[r] = abs(out_fit.coefficients[setup["h_quad_idx"]] / se_beta)
-        abs_t_phi[r] = abs(prop_fit.coefficients[setup["prop_quad_idx"]] / se_phi)
+        abs_t_beta[r] = abs(beta_hat / se_beta)
+        abs_t_phi[r] = abs(phi_hat / se_phi)
     mean_beta = float(abs_t_beta.mean())
     mean_phi = float(abs_t_phi.mean())
     center = 0.5 * (mean_beta + mean_phi)

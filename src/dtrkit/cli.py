@@ -15,7 +15,6 @@ CSV files in a leading ``#`` comment line.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .alearn import alearn_fit
-from .calibrate import calibrate_equiv_misspec, check_tstat_balance
+from .calibrate import _calibration_setup, calibrate_equiv_misspec, check_tstat_balance
 from .data import StageSpec, read_dataset_csv, write_dataset_csv
 from .errors import (
     CalibrationError,
@@ -40,14 +39,7 @@ from .errors import (
 from .evaluate import StudyConfig, regime_value_analytic, run_mc_study, value_gcomputation
 from .qlearn import qlearn_fit
 from .rng import make_stream
-from .scenarios import (
-    TwoDecisionParams,
-    derive_stage1_truth,
-    scenario_params,
-    scenario_registry,
-    true_psi,
-    true_regime,
-)
+from .scenarios import scenario_params, scenario_registry, true_psi
 
 CONFIG_VERSION = 1
 _CONFIG_ERRORS = (ConfigError, ParseError, InvalidParameterError, FileNotFoundError)
@@ -177,7 +169,7 @@ def _resolve_specs(entry, definition, context: str):
     if entry in (None, "working"):
         return tuple(definition.working_specs())
     if entry == "full":
-        if definition.full_specs is None:
+        if definition.full is None:
             raise ConfigError(f"{context}.specs: scenario has no full model set")
         return tuple(definition.full_specs())
     if isinstance(entry, list):
@@ -198,11 +190,15 @@ def _resolve_specs(entry, definition, context: str):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(ctx: _RunContext) -> int:
+def _simulate_settings(ctx: _RunContext):
     section = ctx.section("simulate")
     definition, params = ctx.scenario()
     n = _positive_int(section, "n", "simulate")
-    filename = section.get("filename", f"{definition.name}_dataset.csv")
+    return definition, params, n, section.get("filename", f"{definition.name}_dataset.csv")
+
+
+def _cmd_simulate(ctx: _RunContext) -> int:
+    definition, params, n, filename = _simulate_settings(ctx)
     dataset = definition.generate(params, n, make_stream(ctx.seed, 0))
     path = ctx.out_path(filename)
     write_dataset_csv(dataset, path, header_comment=ctx.csv_header())
@@ -241,21 +237,25 @@ def _write_residuals_csv(ctx, name, results):
     return path
 
 
-def _cmd_fit(ctx: _RunContext) -> int:
+def _fit_settings(ctx: _RunContext):
     section = ctx.section("fit")
-    definition, params = ctx.scenario()
+    definition, _ = ctx.scenario()
     dataset_path = _require(section, "dataset", str, "fit")
     estimator = section.get("estimator", "both")
     if estimator not in ("qlearn", "alearn", "both"):
         raise ConfigError("fit.estimator: must be 'qlearn', 'alearn', or 'both'")
     specs = _resolve_specs(section.get("specs"), definition, "fit")
+    return definition, dataset_path, estimator, specs, section.get("output", "fit")
+
+
+def _cmd_fit(ctx: _RunContext) -> int:
+    definition, dataset_path, estimator, specs, output = _fit_settings(ctx)
     dataset = read_dataset_csv(dataset_path, definition.n_stages, definition.state_dims)
     results = {}
     if estimator in ("qlearn", "both"):
         results["qlearn"] = qlearn_fit(dataset, specs)
     if estimator in ("alearn", "both"):
         results["alearn"] = alearn_fit(dataset, specs)
-    output = section.get("output", "fit")
     payload = {
         "scenario": definition.name,
         "n": dataset.n,
@@ -270,7 +270,7 @@ def _cmd_fit(ctx: _RunContext) -> int:
     return 0
 
 
-def _cmd_value(ctx: _RunContext) -> int:
+def _value_settings(ctx: _RunContext):
     section = ctx.section("value")
     definition, params = ctx.scenario()
     psi_entry = section.get("psi", "true")
@@ -281,7 +281,7 @@ def _cmd_value(ctx: _RunContext) -> int:
             psi_list = [np.asarray(p, dtype=float) for p in psi_entry]
         except (TypeError, ValueError):
             raise ConfigError("value.psi: must be a list of per-stage coefficient lists") from None
-        canonical = [r.psi.size for r in true_regime(params).rules]
+        canonical = [len(features) for features in definition.rules]
         if [p.size for p in psi_list] != canonical:
             raise ConfigError(
                 f"value.psi: per-stage lengths must be {canonical}"
@@ -289,20 +289,21 @@ def _cmd_value(ctx: _RunContext) -> int:
     else:
         raise ConfigError("value.psi: must be 'true' or a list of per-stage coefficient lists")
     method = section.get("method", "analytic")
+    if method not in ("analytic", "gcomp"):
+        raise ConfigError("value.method: must be 'analytic' or 'gcomp'")
+    draws = None
+    if method == "gcomp":
+        draws = _positive_int(section, "gcomp_draws", "value", default=1000000)
+    return definition, params, psi_list, method, draws, section.get("output", "value.json")
+
+
+def _cmd_value(ctx: _RunContext) -> int:
+    definition, params, psi_list, method, draws, output = _value_settings(ctx)
     if method == "analytic":
         value, se = regime_value_analytic(params, psi_list), None
-    elif method == "gcomp":
-        draws = _positive_int(section, "gcomp_draws", "value", default=1000000)
-        regime = true_regime(params)
-        rules = tuple(
-            dataclasses.replace(rule, psi=np.asarray(psi, dtype=float))
-            for rule, psi in zip(regime.rules, psi_list)
-        )
-        value, se = value_gcomputation(
-            params, dataclasses.replace(regime, rules=rules), draws, make_stream(ctx.seed, 0)
-        )
     else:
-        raise ConfigError("value.method: must be 'analytic' or 'gcomp'")
+        regime = definition.regime(psi_list)
+        value, se = value_gcomputation(params, regime, draws, make_stream(ctx.seed, 0))
     payload = {
         "scenario": definition.name,
         "method": method,
@@ -310,7 +311,7 @@ def _cmd_value(ctx: _RunContext) -> int:
         "value": value,
         "se": se,
     }
-    path = _write_json(ctx, section.get("output", "value.json"), payload)
+    path = _write_json(ctx, output, payload)
     print(f"wrote {path} (H = {value:.6g})")
     return 0
 
@@ -361,7 +362,7 @@ def _write_study_csv(ctx, name, results) -> Path:
     return path
 
 
-def _cmd_study(ctx: _RunContext) -> int:
+def _study_settings(ctx: _RunContext):
     section = ctx.section("study")
     definition, params = ctx.scenario()
     estimators = section.get("estimators", ["qlearn", "alearn"])
@@ -369,7 +370,6 @@ def _cmd_study(ctx: _RunContext) -> int:
         estimators = [estimators]
     if not isinstance(estimators, list) or not estimators:
         raise ConfigError("study.estimators: must be a non-empty list")
-    value_method = section.get("value_method", "analytic")
     config = StudyConfig(
         scenario=definition.name,
         params=params,
@@ -378,7 +378,7 @@ def _cmd_study(ctx: _RunContext) -> int:
         master_seed=ctx.seed,
         estimators=tuple(estimators),
         specs=_resolve_specs(section.get("specs"), definition, "study"),
-        value_method=value_method,
+        value_method=section.get("value_method", "analytic"),
         gcomp_draws=_positive_int(section, "gcomp_draws", "study", default=10000),
         threads=ctx.threads,
     )
@@ -386,8 +386,12 @@ def _cmd_study(ctx: _RunContext) -> int:
         config.resolve()
     except InvalidParameterError as exc:
         raise ConfigError(f"study: {exc}") from exc
+    return definition, estimators, config, section.get("output", "study")
+
+
+def _cmd_study(ctx: _RunContext) -> int:
+    definition, estimators, config, output = _study_settings(ctx)
     results = run_mc_study(config)
-    output = section.get("output", "study")
     payload = {
         "scenario": definition.name,
         "n": config.n,
@@ -419,7 +423,10 @@ def _cmd_study(ctx: _RunContext) -> int:
     return 0
 
 
-def _calibrate_settings(section: dict):
+def _calibrate_settings(ctx: _RunContext):
+    section = ctx.section("calibrate")
+    definition, _ = ctx.scenario()
+    _calibration_setup(definition.name)
     grid = section.get("grid", {})
     if not isinstance(grid, dict):
         raise ConfigError("calibrate.grid: must be an object")
@@ -441,32 +448,6 @@ def _calibrate_settings(section: dict):
     rel_dev = section.get("max_rel_dev", 0.02)
     if isinstance(rel_dev, bool) or not isinstance(rel_dev, (int, float)) or rel_dev <= 0:
         raise ConfigError("calibrate.max_rel_dev: must be > 0")
-    return float(lo), float(hi), float(step), n_cal, max_degree, float(target), float(rel_dev)
-
-
-def _cmd_calibrate(ctx: _RunContext) -> int:
-    section = ctx.section("calibrate")
-    definition, _ = ctx.scenario()
-    lo, hi, step, n_cal, max_degree, target, rel_dev = _calibrate_settings(section)
-    result = calibrate_equiv_misspec(
-        definition.name,
-        grid_lo=lo,
-        grid_hi=hi,
-        step=step,
-        n_cal=n_cal,
-        poly_max_degree=max_degree,
-        adj_r2_target=target,
-        max_rel_dev=rel_dev,
-        master_seed=ctx.seed,
-    )
-    output = section.get("output", "calibration")
-    pairs_path = ctx.out_path(f"{output}_pairs.csv")
-    with open(pairs_path, "w") as fh:
-        fh.write(f"# {ctx.csv_header()}\n")
-        fh.write("phi,beta,se_ratio\n")
-        for (phi, beta), ratio in zip(result.pairs, result.ratio_per_phi):
-            fh.write(f"{phi!r},{beta!r},{ratio!r}\n")
-    checks = []
     check = section.get("check")
     if check is not None:
         if not isinstance(check, dict):
@@ -476,6 +457,31 @@ def _cmd_calibrate(ctx: _RunContext) -> int:
         phis = check.get("pairs", [])
         if not isinstance(phis, list):
             raise ConfigError("calibrate.check.pairs: must be a list of phi values")
+        check = (n_check, reps_check, phis)
+    settings = {
+        "grid_lo": float(lo),
+        "grid_hi": float(hi),
+        "step": float(step),
+        "n_cal": n_cal,
+        "poly_max_degree": max_degree,
+        "adj_r2_target": float(target),
+        "max_rel_dev": float(rel_dev),
+    }
+    return definition, settings, check, section.get("output", "calibration")
+
+
+def _cmd_calibrate(ctx: _RunContext) -> int:
+    definition, settings, check, output = _calibrate_settings(ctx)
+    result = calibrate_equiv_misspec(definition.name, master_seed=ctx.seed, **settings)
+    pairs_path = ctx.out_path(f"{output}_pairs.csv")
+    with open(pairs_path, "w") as fh:
+        fh.write(f"# {ctx.csv_header()}\n")
+        fh.write("phi,beta,se_ratio\n")
+        for (phi, beta), ratio in zip(result.pairs, result.ratio_per_phi):
+            fh.write(f"{phi!r},{beta!r},{ratio!r}\n")
+    checks = []
+    if check is not None:
+        n_check, reps_check, phis = check
         for phi in phis:
             beta = float(result.beta_for(phi))
             rel = check_tstat_balance(
@@ -484,8 +490,8 @@ def _cmd_calibrate(ctx: _RunContext) -> int:
             checks.append({"phi": float(phi), "beta": beta, "relative_difference": rel})
     payload = {
         "scenario": definition.name,
-        "grid": {"lo": lo, "hi": hi, "step": step},
-        "n_cal": n_cal,
+        "grid": {"lo": settings["grid_lo"], "hi": settings["grid_hi"], "step": settings["step"]},
+        "n_cal": settings["n_cal"],
         "poly_degree": result.poly_degree,
         "poly_coeffs_high_to_low": result.poly_coeffs,
         "adj_r2": result.adj_r2,
@@ -498,28 +504,28 @@ def _cmd_calibrate(ctx: _RunContext) -> int:
     return 0
 
 
+# Each command's settings parser, which rejects a bad section before any
+# work; ``validate`` runs the parser of every section present.
+_SETTINGS = {
+    "simulate": _simulate_settings,
+    "study": _study_settings,
+    "fit": _fit_settings,
+    "value": _value_settings,
+    "calibrate": _calibrate_settings,
+}
+
+
 def _cmd_validate(ctx: _RunContext) -> int:
     definition, params = ctx.scenario()
-    for name in ("simulate", "study", "fit", "value", "calibrate"):
-        if name not in ctx.config:
-            continue
-        section = ctx.section(name)
-        if name == "simulate":
-            _positive_int(section, "n", "simulate")
-        elif name == "study":
-            _positive_int(section, "reps", "study")
-            _resolve_specs(section.get("specs"), definition, "study")
-        elif name == "fit":
-            _require(section, "dataset", str, "fit")
-            _resolve_specs(section.get("specs"), definition, "fit")
-        elif name == "calibrate":
-            _calibrate_settings(section)
+    for name, settings in _SETTINGS.items():
+        if name in ctx.config:
+            settings(ctx)
     print(f"config ok (scenario {definition.name}, seed {ctx.seed})")
     print(f"true contrast coefficients (psi), stage by stage:")
     for k, psi in enumerate(true_psi(params), start=1):
         print(f"  stage {k}: {np.asarray(psi)}")
-    if isinstance(params, TwoDecisionParams):
-        beta1, psi1 = derive_stage1_truth(params)
+    if definition.derived_truth is not None:
+        beta1, psi1 = definition.derived_truth(params)
         print(f"derived stage-1 outcome coefficients (beta1): {beta1}")
         print(f"derived stage-1 contrast coefficients (psi1): {psi1}")
     return 0

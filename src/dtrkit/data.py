@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "StageFit",
     "StageSpec",
     "Term",
-    "Trajectory",
     "apply_regime",
     "build_design",
     "read_dataset_csv",
@@ -188,40 +187,8 @@ class FeatureMap:
 
 
 # ---------------------------------------------------------------------------
-# Trajectories and datasets
+# Column views and datasets
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Trajectory:
-    """A single observed trajectory: per-stage states, actions, outcome."""
-
-    states: list
-    actions: list
-    outcome: float
-
-    @property
-    def n_stages(self) -> int:
-        return len(self.actions)
-
-
-class _HistoryColumns:
-    """Column view over one partial history (length-1 columns)."""
-
-    def __init__(self, states: Sequence, actions: Sequence):
-        self._states = [np.atleast_1d(np.asarray(s, dtype=float)) for s in states]
-        self._actions = list(actions)
-        self.n = 1
-
-    def state_col(self, stage: int, comp: int) -> np.ndarray:
-        if stage > len(self._states) or comp > self._states[stage - 1].shape[0]:
-            raise FeatureScopeError(f"history has no state s{stage}_{comp}")
-        return self._states[stage - 1][comp - 1 : comp]
-
-    def action_col(self, stage: int) -> np.ndarray:
-        if stage > len(self._actions):
-            raise FeatureScopeError(f"history has no action a{stage}")
-        return np.asarray([self._actions[stage - 1]], dtype=float)
 
 
 class ArrayColumns:
@@ -315,37 +282,7 @@ class Dataset:
         return self.actions[stage - 1]
 
     def column_names(self) -> list[str]:
-        names = []
-        for k, d in enumerate(self.state_dims, start=1):
-            names.extend(f"s{k}_{j}" for j in range(1, d + 1))
-            names.append(f"a{k}")
-        names.append("y")
-        return names
-
-    def trajectory(self, i: int) -> Trajectory:
-        return Trajectory(
-            states=[s[i].copy() for s in self.states],
-            actions=[int(a[i]) for a in self.actions],
-            outcome=float(self.y[i]),
-        )
-
-    def trajectories(self) -> Iterator[Trajectory]:
-        return (self.trajectory(i) for i in range(self.n))
-
-    @classmethod
-    def from_trajectories(cls, trajectories: Sequence[Trajectory]) -> "Dataset":
-        if not trajectories:
-            raise InvalidParameterError("cannot infer stage structure from zero trajectories")
-        k = trajectories[0].n_stages
-        states = tuple(
-            np.vstack([np.atleast_1d(np.asarray(t.states[j], dtype=float)) for t in trajectories])
-            for j in range(k)
-        )
-        actions = tuple(
-            np.asarray([t.actions[j] for t in trajectories], dtype=np.int64) for j in range(k)
-        )
-        y = np.asarray([t.outcome for t in trajectories], dtype=float)
-        return cls(states, actions, y)
+        return _expected_header(self.n_stages, self.state_dims)
 
 
 def build_design(dataset: Dataset, stage: int, features: FeatureMap) -> np.ndarray:
@@ -401,8 +338,10 @@ def apply_regime(regime: Regime, stage: int, states: Sequence, actions: Sequence
         raise InvalidParameterError(f"regime has no stage {stage}")
     if len(states) < stage or len(actions) < stage - 1:
         raise InvalidParameterError(f"history is too short for stage {stage}")
-    cols = _HistoryColumns(states[:stage], actions[: stage - 1])
-    return int(regime.actions(stage, cols)[0])
+    # One trajectory: a (1, d_k) block per state and a length-1 action column.
+    states = {k: np.reshape(s, (1, -1)) for k, s in enumerate(states[:stage], 1)}
+    actions = {k: [a] for k, a in enumerate(actions[: stage - 1], 1)}
+    return int(regime.actions(stage, ArrayColumns(1, states, actions))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Regime values and Monte Carlo study machinery.
 
 The population value H(d) of a regime d is the mean outcome were everyone
-treated according to d.  For each built-in scenario H(d) has a closed form
-built from normal half-line moments; ``value_gcomputation`` evaluates any
-regime on any scenario by forward simulation from the true state laws,
-averaging the true conditional mean outcome (no outcome noise is drawn, so
-its Monte Carlo error comes from the state draws alone).
+treated according to d.  Each built-in scenario's registry entry holds H(d)
+in closed form, from normal half-line moments; ``value_gcomputation`` runs
+the scenario's law forward under any regime, averaging the true conditional
+mean outcome (no outcome noise is drawn, so its Monte Carlo error comes from
+the state draws alone).
 
 ``run_mc_study`` repeats: draw a dataset (one stream per replication, keyed
 by the replication index, so results do not depend on scheduling), fit the
@@ -34,32 +34,19 @@ import numpy as np
 # alearn_fit and qlearn_fit are not called here, but bench/spans.py traces
 # them under these module names.
 from .alearn import alearn_fit, alearn_stack, extreme_propensity  # noqa: F401
-from .data import ArrayColumns, DecisionRule, Regime
+from .data import DecisionRule, Regime
 from .errors import InvalidParameterError, StudyError
-from .numerics import trunc_norm_moments
 from .qlearn import qlearn_fit, qlearn_stack  # noqa: F401
 from .rng import RngStream, StreamStack, make_stream
-from .scenarios import (
-    MoodieParams,
-    OneDecisionParams,
-    TwoDecisionParams,
-    scenario_registry,
-    true_psi,
-    true_regime,
-)
+from .scenarios import scenario_of, scenario_registry, true_psi, true_regime
 
 __all__ = [
     "EstimatorSummary",
     "StudyConfig",
     "StudyResults",
-    "median_efficiency",
-    "propensity_sd_diagnostic",
     "regime_value_analytic",
     "run_mc_study",
     "value_gcomputation",
-    "value_moodie_analytic",
-    "value_one_decision_analytic",
-    "value_two_decision_analytic",
 ]
 
 ESTIMATOR_NAMES = ("qlearn", "alearn")
@@ -75,126 +62,14 @@ FAILURE_ERROR_RATE = 0.10
 
 
 # ---------------------------------------------------------------------------
-# Analytic regime values
+# Regime values
 # ---------------------------------------------------------------------------
-
-
-def _linear_indicator_mean(c0, c1, r0, r1, mu, sd):
-    """E[(c0 + c1 X) 1{r0 + r1 X > 0}] for X ~ N(mu, sd^2).
-
-    A zero rule slope makes the indicator constant (strict inequality, so
-    r0 = 0 means the indicator is 0).
-    """
-    if r1 == 0.0:
-        return (c0 + c1 * mu) if r0 > 0.0 else 0.0
-    cut = -r0 / r1
-    side = "above" if r1 > 0.0 else "below"
-    prob, partial = trunc_norm_moments(mu, sd, cut, side)
-    return c0 * prob + c1 * partial
-
-
-def value_one_decision_analytic(psi, params: OneDecisionParams | None = None) -> float:
-    """Population value of the rule 1{psi0 + psi1 s1 > 0} in the one-stage
-    scenario.
-
-    H(d) = beta0 + beta1 E(S1) + beta2 E(S1^2)
-           + E[1{psi0 + psi1 S1 > 0} (psi0* + psi1* S1)]
-
-    with S1 ~ N(0, 1) and starred coefficients the true contrast.
-    """
-    if params is None:
-        params = OneDecisionParams()
-    psi = np.asarray(psi, dtype=float)
-    b = np.asarray(params.beta)
-    p0 = np.asarray(params.psi)
-    base = b[0] + b[2]
-    return float(base + _linear_indicator_mean(p0[0], p0[1], psi[0], psi[1], 0.0, 1.0))
-
-
-def value_two_decision_analytic(psi1, psi2, params: TwoDecisionParams | None = None) -> float:
-    """Population value of the two-stage rule pair in the two-stage scenario.
-
-    Averages over the two equally likely values of S1.  Within each branch
-    the stage-1 action a1 follows the stage-1 rule, S2 | s1, a1 is normal,
-    and the expected outcome adds the true action-free mean (including the
-    quadratic term against E S2^2 = mu^2 + var) to the true contrast gained
-    on the event the stage-2 rule treats.
-    """
-    if params is None:
-        params = TwoDecisionParams()
-    psi1 = np.asarray(psi1, dtype=float)
-    psi2 = np.asarray(psi2, dtype=float)
-    d = np.asarray(params.delta)
-    b2 = np.asarray(params.beta2)
-    p2 = np.asarray(params.psi2)
-    sd2 = float(np.sqrt(params.s2_var))
-    total = 0.0
-    for s1 in (0.0, 1.0):
-        a1 = 1.0 if psi1[0] + psi1[1] * s1 > 0.0 else 0.0
-        mu = d[0] + d[1] * s1 + d[2] * a1 + d[3] * s1 * a1
-        h_mean = (
-            b2[0]
-            + b2[1] * s1
-            + b2[2] * a1
-            + b2[3] * s1 * a1
-            + b2[4] * mu
-            + b2[5] * (mu * mu + sd2 * sd2)
-        )
-        gain = _linear_indicator_mean(
-            p2[0] + p2[1] * a1, p2[2], psi2[0] + psi2[1] * a1, psi2[2], mu, sd2
-        )
-        total += 0.5 * (h_mean + gain)
-    return float(total)
-
-
-def value_moodie_analytic(psi1, psi2, params: MoodieParams | None = None) -> float:
-    """Population value of the two-stage rule pair in the clinical scenario.
-
-    The generative outcome is the potential optimal outcome minus the regret
-    of each stage's action, and each stage's state has a normal marginal
-    (S2 = s2_coef * S1 + noise), so
-
-    H(d) = E(Yopt) - sum_k E[C_k(S_k) (1{C_k(S_k) > 0} - 1{rule_k treats})]
-
-    with every term a normal half-line moment.  Equals
-    yopt_intercept + yopt_slope * s1_mean exactly when both rules match the
-    true contrasts' signs.
-    """
-    if params is None:
-        params = MoodieParams()
-    psi1 = np.asarray(psi1, dtype=float)
-    psi2 = np.asarray(psi2, dtype=float)
-    p1 = np.asarray(params.psi1)
-    p2 = np.asarray(params.psi2)
-    mu1, sd1 = params.s1_mean, params.s1_sd
-    mu2 = params.s2_coef * params.s1_mean
-    sd2 = float(np.hypot(params.s2_coef * params.s1_sd, params.s2_sd))
-    value = params.yopt_intercept + params.yopt_slope * params.s1_mean
-    for true_c, rule, mu, sd in ((p1, psi1, mu1, sd1), (p2, psi2, mu2, sd2)):
-        optimal = _linear_indicator_mean(true_c[0], true_c[1], true_c[0], true_c[1], mu, sd)
-        achieved = _linear_indicator_mean(true_c[0], true_c[1], rule[0], rule[1], mu, sd)
-        value -= optimal - achieved
-    return float(value)
 
 
 def regime_value_analytic(params, psi_list) -> float:
     """Closed-form H(d) for a stage-rule coefficient list on a built-in
     scenario."""
-    if isinstance(params, OneDecisionParams):
-        (psi,) = psi_list
-        return value_one_decision_analytic(psi, params)
-    if isinstance(params, TwoDecisionParams):
-        psi1, psi2 = psi_list
-        return value_two_decision_analytic(psi1, psi2, params)
-    if isinstance(params, MoodieParams):
-        psi1, psi2 = psi_list
-        return value_moodie_analytic(psi1, psi2, params)
-    raise InvalidParameterError(f"unknown scenario parameters {type(params).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# g-computation
-# ---------------------------------------------------------------------------
+    return scenario_of(params).value(params, psi_list)
 
 
 def value_gcomputation(params, regime: Regime, n_draws: int, stream: RngStream):
@@ -207,54 +82,7 @@ def value_gcomputation(params, regime: Regime, n_draws: int, stream: RngStream):
     """
     if n_draws < 1:
         raise InvalidParameterError("n_draws must be >= 1")
-    if isinstance(params, OneDecisionParams):
-        b = np.asarray(params.beta)
-        p0 = np.asarray(params.psi)
-        s1 = stream.normal(n_draws)
-        cols = ArrayColumns(n_draws, states={1: s1})
-        a1 = regime.actions(1, cols)
-        u = b[0] + b[1] * s1 + b[2] * s1 * s1 + a1 * (p0[0] + p0[1] * s1)
-    elif isinstance(params, TwoDecisionParams):
-        d = np.asarray(params.delta)
-        b2 = np.asarray(params.beta2)
-        p2 = np.asarray(params.psi2)
-        s1 = stream.bernoulli(0.5, n_draws).astype(float)
-        cols = ArrayColumns(n_draws, states={1: s1})
-        a1 = regime.actions(1, cols)
-        mu2 = d[0] + d[1] * s1 + d[2] * a1 + d[3] * s1 * a1
-        s2 = stream.normal(n_draws, loc=mu2, scale=np.sqrt(params.s2_var))
-        cols.states[2] = s2
-        cols.actions[1] = a1
-        a2 = regime.actions(2, cols)
-        h2 = (
-            b2[0]
-            + b2[1] * s1
-            + b2[2] * a1
-            + b2[3] * s1 * a1
-            + b2[4] * s2
-            + b2[5] * s2 * s2
-        )
-        u = h2 + a2 * (p2[0] + p2[1] * a1 + p2[2] * s2)
-    elif isinstance(params, MoodieParams):
-        p1 = np.asarray(params.psi1)
-        p2 = np.asarray(params.psi2)
-        s1 = stream.normal(n_draws, loc=params.s1_mean, scale=params.s1_sd)
-        cols = ArrayColumns(n_draws, states={1: s1})
-        a1 = regime.actions(1, cols)
-        s2 = stream.normal(n_draws, loc=params.s2_coef * s1, scale=params.s2_sd)
-        cols.states[2] = s2
-        cols.actions[1] = a1
-        a2 = regime.actions(2, cols)
-        c1 = p1[0] + p1[1] * s1
-        c2 = p2[0] + p2[1] * s2
-        u = (
-            params.yopt_intercept
-            + params.yopt_slope * s1
-            - c1 * ((c1 > 0.0) - a1)
-            - c2 * ((c2 > 0.0) - a2)
-        )
-    else:
-        raise InvalidParameterError(f"unknown scenario parameters {type(params).__name__}")
+    u = scenario_of(params).outcome_means(params, regime, n_draws, stream)
     value = float(np.mean(u))
     se = float(np.std(u, ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else None
     return value, se
@@ -308,6 +136,16 @@ class StudyConfig:
             raise InvalidParameterError("value_method must be 'analytic' or 'gcomp'")
         if self.threads < 1:
             raise InvalidParameterError("threads must be >= 1")
+        # The bias summaries and the analytic value compare fitted rule
+        # coefficients against the scenario's canonical rule parameterization,
+        # so the working contrast features must be exactly the canonical ones.
+        canonical = [r.c_features.names() for r in true_regime(params).rules]
+        supplied = [s.c_features.names() for s in specs]
+        if supplied != canonical:
+            raise InvalidParameterError(
+                f"working contrast features must match the scenario rules: "
+                f"expected {canonical}, got {supplied}"
+            )
         return definition, params, n, specs, estimators
 
 
@@ -369,22 +207,6 @@ def _within_sd(values: np.ndarray):
         return np.zeros(values.shape[:-1]) if values.ndim > 1 else 0.0
     sd = np.std(values, axis=-1, ddof=1)
     return sd if values.ndim > 1 else float(sd)
-
-
-def propensity_sd_diagnostic(per_rep_pihat) -> float:
-    """Average over replications of the within-dataset SD of fitted
-    propensities."""
-    sds = [_within_sd(p) for p in per_rep_pihat]
-    return float(np.mean(sds)) if sds else 0.0
-
-
-def median_efficiency(results: StudyResults) -> dict:
-    """Median over replications of H(d-hat), relative to H(d-opt), per
-    estimator."""
-    out = {}
-    for est, summary in results.summaries.items():
-        out[est] = summary.r_median
-    return out
 
 
 def _run_chunk(
@@ -449,16 +271,6 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
         for k, stage_psi in enumerate(psi_true_stages, start=1)
         for j in range(len(stage_psi))
     ]
-    # The bias summaries and the analytic value compare fitted rule
-    # coefficients against the scenario's canonical rule parameterization,
-    # so the working contrast features must be exactly the canonical ones.
-    canonical = [r.c_features.names() for r in true_regime(params).rules]
-    supplied = [s.c_features.names() for s in specs]
-    if supplied != canonical:
-        raise InvalidParameterError(
-            f"working contrast features must match the scenario rules: "
-            f"expected {canonical}, got {supplied}"
-        )
     h_opt = regime_value_analytic(params, psi_true_stages)
 
     reps = config.reps

@@ -1,7 +1,7 @@
 """Deterministic numerical kernels used throughout the package.
 
 Normal distribution helpers, truncated-normal partial moments, a dense linear
-solver with an explicit rank guard, weighted least squares, and logistic
+solver with an explicit rank guard, least squares, and logistic
 maximum likelihood via iteratively reweighted least squares (IRLS).
 
 The normal cdf is evaluated through the complementary error function, which
@@ -38,7 +38,6 @@ __all__ = [
     "logistic_stack",
     "lu_solve_stack",
     "lu_stack",
-    "norm_cdf",
     "norm_pdf",
     "require_rows",
     "solve_linear",
@@ -75,11 +74,6 @@ class FitResult:
     converged: bool = True
     iterations: int = 0
     fitted: np.ndarray = field(default=None, repr=False)
-
-
-def norm_cdf(x):
-    """Standard normal cdf, absolute error below 1e-12 on the whole line."""
-    return ndtr(x)
 
 
 def norm_pdf(x):
@@ -298,51 +292,30 @@ def estimating_solve(x: np.ndarray, v: np.ndarray, g: np.ndarray | None = None, 
     return theta, cov, resid, errors, min_rel_pivot
 
 
-def wls_fit(x, y, weights=None) -> FitResult:
-    """Weighted least squares with model-based covariance.
+def wls_fit(x, y) -> FitResult:
+    """Least squares with model-based covariance.
 
-    Solves the normal equations (X'WX) b = X'Wy and reports the covariance
-    sigma2_hat (X'WX)^{-1} with sigma2_hat = sum(w e^2) / (n - p).  With all
-    weights equal this reproduces ordinary least squares exactly, and
-    rescaling all weights by a positive constant changes neither the
-    coefficients nor the covariance (the scale cancels through sigma2_hat).
+    Solves the normal equations (X'X) b = X'y and reports the covariance
+    sigma2_hat (X'X)^{-1} with sigma2_hat = sum(e^2) / (n - p).
 
     Parameters
     ----------
     x : ndarray, shape (n, p)
     y : ndarray, shape (n,)
-    weights : ndarray, shape (n,), optional
-        Strictly positive case weights.  Omitted means OLS.
 
     Raises
     ------
     InvalidParameterError
-        If n < p or any weight is not strictly positive.
+        If n < p.
     SingularSystemError
         If the normal matrix is numerically rank deficient.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     require_rows(x)
-    n = x.shape[0]
-    if weights is None:
-        xs, ys = x, y
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise InvalidParameterError("weights must have one entry per row")
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            raise InvalidParameterError("weights must be finite and strictly positive")
-        # Least squares on rows scaled by sqrt(w) has the weighted normal
-        # equations and residual sum of squares.
-        root = np.sqrt(w)
-        xs, ys = x * root[:, None], y * root
-    coef, cov, resid, errors, _ = estimating_solve(xs[None], ys[None], context="wls_fit")
+    coef, cov, resid, errors, _ = estimating_solve(x[None], y[None], context="wls_fit")
     _raise_first(errors)
-    coef = coef[0]
-    # With weights the solve's residuals are those of the scaled rows.
-    resid = resid[0] if weights is None else y - x @ coef
-    return FitResult(coef, cov[0], resid, converged=True, iterations=0, fitted=y - resid)
+    return FitResult(coef[0], cov[0], resid[0], converged=True, iterations=0, fitted=y - resid[0])
 
 
 def _logistic_loglik(eta: np.ndarray, a: np.ndarray) -> np.ndarray:

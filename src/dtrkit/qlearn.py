@@ -20,32 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset, StageFit, build_design
-from .errors import InvalidParameterError
-from .numerics import _matvec, _take, estimating_solve, require_rows, wls_fit
+# wls_fit is not called here, but bench/spans.py traces it as qlearn.wls_fit.
+from .numerics import _matvec, _take, estimating_solve, require_rows, wls_fit  # noqa: F401
 from .recursion import RegimeFit, backward_fit, single_fit
 
-__all__ = ["QLearnResult", "q_pseudo_outcome", "q_stage_fit", "qlearn_fit", "qlearn_stack"]
+__all__ = ["QLearnResult", "q_pseudo_outcome", "qlearn_fit", "qlearn_stack"]
 
 QLearnResult = RegimeFit
-
-
-def q_stage_fit(design_h, design_c, actions, v, weights=None, stage: int = 0) -> StageFit:
-    """Fit one stage by least squares of ``v`` on ``[design_h | a * design_c]``.
-
-    Returns a :class:`StageFit` with the coefficient vector partitioned into
-    ``beta`` (action-free part) and ``psi`` (contrast part) and the matching
-    blocks of the model-based covariance.
-    """
-    design_h = np.asarray(design_h, dtype=float)
-    design_c = np.asarray(design_c, dtype=float)
-    actions = np.asarray(actions, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = design_h.shape[0]
-    if design_c.shape[0] != n or actions.shape != (n,) or v.shape != (n,):
-        raise InvalidParameterError("stage inputs must share one row per trajectory")
-    design = np.hstack([design_h, actions[:, None] * design_c])
-    fit = wls_fit(design, v, weights)
-    return _stage_fit(stage, design_h.shape[1], fit.coefficients, fit.covariance, v, fit.residuals)
 
 
 def _stage_fit(stage: int, p_h: int, theta, cov, v, resid) -> StageFit:

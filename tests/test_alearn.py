@@ -27,9 +27,7 @@ from dtrkit.scenarios import (
     derive_stage1_truth,
     gen_one_decision,
     gen_two_decision,
-    one_decision_full_specs,
-    one_decision_specs,
-    two_decision_full_specs,
+    scenario_registry,
 )
 
 
@@ -115,7 +113,7 @@ class TestPropensityEval:
     def test_logistic_fit_recovers_truth(self):
         params = OneDecisionParams()
         ds = gen_one_decision(params, 100_000, RngStream(77, 0))
-        spec = one_decision_specs()[0]
+        spec = scenario_registry("one_decision").working_specs()[0]
         pihat, fit = propensity_eval(spec.propensity, ds, 1)
         se = np.sqrt(np.diag(fit.covariance))
         assert np.all(np.abs(fit.coefficients - np.array([0.0, -2.0])) < 4.0 * se)
@@ -154,7 +152,7 @@ class TestAlearnFit:
         params = TwoDecisionParams()
         ds = gen_two_decision(params, 50, RngStream(1, 0))
         with pytest.raises(InvalidParameterError, match="one stage spec"):
-            alearn_fit(ds, two_decision_full_specs()[:1])
+            alearn_fit(ds, scenario_registry("two_decision").full_specs()[:1])
 
     def test_matches_qlearn_under_known_constant_propensity(self):
         # with a known propensity that is constant and an h-model containing
@@ -173,9 +171,7 @@ class TestAlearnFit:
         # stage solve for an exact algebraic comparison instead
         xh = np.column_stack([np.ones(n), s1])
         xc = np.column_stack([np.ones(n), s1])
-        from dtrkit.qlearn import q_stage_fit
-
-        qfit = q_stage_fit(xh, xc, a1, y)
+        qfit = qlearn_fit(ds, (spec_q,)).stage_fits[0]
         # stack [x_h | a x_c] regression normal equations: X'(v - X theta)=0;
         # alearn moments with pihat = p are [(a-p) x_c ; x_h]'(v - X theta)=0,
         # a nonsingular linear combination of the same equations
@@ -220,7 +216,7 @@ class TestAlearnFit:
     def test_two_stage_pipeline_consistency(self):
         params = TwoDecisionParams()
         ds = gen_two_decision(params, 100_000, RngStream(55, 0))
-        result = alearn_fit(ds, two_decision_full_specs())
+        result = alearn_fit(ds, scenario_registry("two_decision").full_specs())
         _, psi1_true = derive_stage1_truth(params)
         fit2, fit1 = result.stage_fits[1], result.stage_fits[0]
         se2 = np.sqrt(np.diag(fit2.psi_cov))
@@ -236,7 +232,7 @@ class TestAlearnFit:
         # estimator drifts
         params = OneDecisionParams(beta=(1.0, 1.0, 1.0))
         ds = gen_one_decision(params, 200_000, RngStream(91, 0))
-        specs = one_decision_specs()
+        specs = scenario_registry("one_decision").working_specs()
         afit = alearn_fit(ds, specs).stage_fits[0]
         se = np.sqrt(np.diag(afit.psi_cov))
         assert np.all(np.abs(afit.psi - np.array([1.0, 0.5])) < 4.0 * se)
@@ -248,13 +244,13 @@ class TestAlearnFit:
         # outcome model: contrast still consistent
         params = OneDecisionParams(phi=(0.0, -2.0, 1.0))
         ds = gen_one_decision(params, 200_000, RngStream(92, 0))
-        afit = alearn_fit(ds, one_decision_specs()).stage_fits[0]
+        afit = alearn_fit(ds, scenario_registry("one_decision").working_specs()).stage_fits[0]
         se = np.sqrt(np.diag(afit.psi_cov))
         assert np.all(np.abs(afit.psi - np.array([1.0, 0.5])) < 4.0 * se)
 
     def test_regime_rules_carry_psi(self):
         params = TwoDecisionParams()
         ds = gen_two_decision(params, 2_000, RngStream(4, 0))
-        result = alearn_fit(ds, two_decision_full_specs())
+        result = alearn_fit(ds, scenario_registry("two_decision").full_specs())
         for k in (1, 2):
             assert_array_equal(result.regime.rules[k - 1].psi, result.stage_fits[k - 1].psi)

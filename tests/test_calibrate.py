@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from dtrkit.calibrate import (
     CalibrationResult,
-    _CAL_SETUPS,
+    _calibration_setup,
     _cell_ses,
     _fit_poly,
     calibrate_equiv_misspec,
@@ -164,15 +164,15 @@ class TestTstatBalance:
         # independent oracle: with both quadratic coefficients zero each
         # |t| is asymptotically folded standard normal, mean sqrt(2/pi)
         reps, n = 800, 400
-        setup = _CAL_SETUPS["one_decision"]
+        definition, spec = _calibration_setup("one_decision")
         t_beta = np.empty(reps)
         t_phi = np.empty(reps)
         for r in range(reps):
-            se_b, se_p, out_fit, prop_fit = _cell_ses(
-                "one_decision", setup, 0.0, 0.0, n, make_stream(7, r)
+            beta_hat, se_b, phi_hat, se_p = _cell_ses(
+                definition, spec, 0.0, 0.0, n, make_stream(7, r)
             )
-            t_beta[r] = abs(out_fit.coefficients[setup["h_quad_idx"]] / se_b)
-            t_phi[r] = abs(prop_fit.coefficients[setup["prop_quad_idx"]] / se_p)
+            t_beta[r] = abs(beta_hat / se_b)
+            t_phi[r] = abs(phi_hat / se_p)
         for sample in (t_beta, t_phi):
             band = 4.0 * sample.std(ddof=1) / np.sqrt(reps)
             assert abs(sample.mean() - HALF_NORMAL_MEAN) < band

@@ -94,6 +94,39 @@ class TestValidate:
         assert "study.reps: required key is missing" in err
 
 
+_SMALL_GRID = {"grid": {"lo": -0.2, "hi": 0.2, "step": 0.1}, "n_cal": 200}
+# (command, scenario, section, exit code, message): the command's section of
+# a config that validate and the command must both accept or both reject.
+CONFIG_TABLE = [
+    ("simulate", "one_decision", {"n": 0}, 2, "simulate.n"),
+    ("fit", "one_decision", {"dataset": "d.csv", "estimator": "bogus"}, 2, "fit.estimator"),
+    ("study", "one_decision", {"reps": 5, "estimators": ["bogus"]}, 2, "estimators"),
+    ("study", "one_decision", {"reps": 5, "value_method": "nope"}, 2, "value_method"),
+    ("study", "one_decision", {"reps": 5, "specs": [{"h": ["1"], "c": ["1"]}]}, 2, "contrast"),
+    ("value", "two_decision", {"psi": "wrong"}, 2, "value.psi"),
+    ("value", "two_decision", {"method": "magic"}, 2, "value.method"),
+    ("value", "two_decision", {"method": "gcomp", "gcomp_draws": 0}, 2, "value.gcomp_draws"),
+    ("calibrate", "one_decision", {**_SMALL_GRID, "check": {"pairs": "x"}}, 2, "check.pairs"),
+    ("calibrate", "one_decision", {**_SMALL_GRID, "check": {"reps": 0}}, 2, "check.reps"),
+    ("calibrate", "moodie", _SMALL_GRID, 2, "calibration supports"),
+    ("simulate", "one_decision", {"n": 5}, 0, ""),
+    ("study", "one_decision", {"n": 50, "reps": 3}, 0, ""),
+    ("value", "two_decision", {"method": "gcomp", "gcomp_draws": 100}, 0, ""),
+]
+
+
+@pytest.mark.parametrize("command,scenario,section,code,message", CONFIG_TABLE)
+def test_validate_agrees_with_command(capsys, tmp_path, command, scenario, section, code, message):
+    path = _write_config(tmp_path, {"scenario": {"name": scenario}, command: section})
+    out_dir = tmp_path / "out"
+    got, _, err = _run(capsys, "validate", str(path), "--out-dir", str(out_dir))
+    assert (got, message in err) == (code, True)
+    got, _, err = _run(capsys, command, str(path), "--out-dir", str(out_dir))
+    assert (got, message in err) == (code, True)
+    if code == 2:
+        assert not out_dir.exists()
+
+
 class TestSimulate:
     def test_writes_deterministic_csv(self, capsys, tmp_path):
         body = {

@@ -13,7 +13,6 @@ from dtrkit.data import (
     Regime,
     StageSpec,
     Term,
-    Trajectory,
     apply_regime,
     build_design,
     parse_term,
@@ -193,30 +192,6 @@ class TestDataset:
         with pytest.raises(InvalidParameterError, match="finite"):
             Dataset((s,), (a,), np.array([0.0, np.inf, 0.0]))
 
-    def test_trajectory_round_trip(self):
-        ds = _small_dataset()
-        t = ds.trajectory(1)
-        assert t.n_stages == 2
-        assert_allclose(t.states[1], np.array([6.0, 8.0]))
-        assert t.actions == [1, 1]
-        assert t.outcome == 11.0
-        rebuilt = Dataset.from_trajectories(list(ds.trajectories()))
-        for k in range(2):
-            assert_allclose(rebuilt.states[k], ds.states[k])
-            assert_array_equal(rebuilt.actions[k], ds.actions[k])
-        assert_allclose(rebuilt.y, ds.y)
-
-    def test_from_trajectories_scalar_states(self):
-        ds = Dataset.from_trajectories(
-            [Trajectory([1.5], [1], 2.0), Trajectory([2.5], [0], 3.0)]
-        )
-        assert ds.state_dims == (1,)
-        assert_allclose(ds.states[0], np.array([[1.5], [2.5]]))
-
-    def test_from_trajectories_empty(self):
-        with pytest.raises(InvalidParameterError):
-            Dataset.from_trajectories([])
-
 
 class TestBuildDesign:
     def test_stacks_requested_columns(self):
@@ -257,8 +232,9 @@ class TestRegime:
         ds = _small_dataset()
         batch = regime.actions(2, ds)
         for i in range(ds.n):
-            t = ds.trajectory(i)
-            assert batch[i] == apply_regime(regime, 2, t.states, t.actions)
+            states = [s[i] for s in ds.states]
+            actions = [int(a[i]) for a in ds.actions]
+            assert batch[i] == apply_regime(regime, 2, states, actions)
 
     def test_apply_regime_errors(self):
         regime = Regime((DecisionRule(FeatureMap.parse(["1"]), np.array([1.0])),))

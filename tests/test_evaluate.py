@@ -9,17 +9,11 @@ from dtrkit.data import DecisionRule, FeatureMap, Regime
 from dtrkit.errors import InvalidParameterError, StudyError
 from dtrkit.evaluate import (
     StudyConfig,
-    _linear_indicator_mean,
     _threshold_stats,
     _within_sd,
-    median_efficiency,
-    propensity_sd_diagnostic,
     regime_value_analytic,
     run_mc_study,
     value_gcomputation,
-    value_moodie_analytic,
-    value_one_decision_analytic,
-    value_two_decision_analytic,
 )
 from dtrkit import alearn
 from dtrkit.alearn import alearn_fit
@@ -29,8 +23,8 @@ from dtrkit.scenarios import (
     MoodieParams,
     OneDecisionParams,
     TwoDecisionParams,
+    _linear_indicator_mean,
     gen_one_decision,
-    one_decision_specs,
     scenario_registry,
     true_psi,
     true_regime,
@@ -88,40 +82,42 @@ class TestLinearIndicatorMean:
 
 class TestAnalyticValues:
     def test_one_decision_optimal_value_frozen(self):
-        h_opt = value_one_decision_analytic([1.0, 0.5])
+        h_opt = regime_value_analytic(OneDecisionParams(), [[1.0, 0.5]])
         assert h_opt == pytest.approx(2.0042453513084148, abs=1e-12)
 
     def test_one_decision_optimality(self):
-        h_opt = value_one_decision_analytic([1.0, 0.5])
+        params = OneDecisionParams()
+        h_opt = regime_value_analytic(params, [[1.0, 0.5]])
         rng = np.random.default_rng(6)
         for _ in range(50):
             psi = np.array([1.0, 0.5]) + rng.normal(scale=0.8, size=2)
-            assert value_one_decision_analytic(psi) <= h_opt + 1e-12
+            assert regime_value_analytic(params, [psi]) <= h_opt + 1e-12
 
     def test_two_decision_optimality(self):
         params = TwoDecisionParams()
         psi1, psi2 = true_psi(params)
-        h_opt = value_two_decision_analytic(psi1, psi2, params)
+        h_opt = regime_value_analytic(params, [psi1, psi2])
         rng = np.random.default_rng(7)
         for _ in range(50):
             p1 = psi1 + rng.normal(scale=0.5, size=2)
             p2 = psi2 + rng.normal(scale=0.5, size=3)
-            assert value_two_decision_analytic(p1, p2, params) <= h_opt + 1e-12
+            assert regime_value_analytic(params, [p1, p2]) <= h_opt + 1e-12
 
     def test_moodie_optimal_value_exact(self):
         # with both rules equal to the truth there is no regret anywhere
-        h = value_moodie_analytic([250.0, -1.0], [720.0, -2.0])
+        h = regime_value_analytic(MoodieParams(), [[250.0, -1.0], [720.0, -2.0]])
         assert h == pytest.approx(400.0 + 1.6 * 450.0, abs=1e-9)
 
     def test_moodie_wrong_rule_loses_value(self):
-        h_opt = value_moodie_analytic([250.0, -1.0], [720.0, -2.0])
-        assert value_moodie_analytic([-250.0, 1.0], [720.0, -2.0]) < h_opt - 10.0
-        assert value_moodie_analytic([250.0, -1.0], [500.0, -2.0]) < h_opt
+        params = MoodieParams()
+        h_opt = regime_value_analytic(params, [[250.0, -1.0], [720.0, -2.0]])
+        assert regime_value_analytic(params, [[-250.0, 1.0], [720.0, -2.0]]) < h_opt - 10.0
+        assert regime_value_analytic(params, [[250.0, -1.0], [500.0, -2.0]]) < h_opt
 
     def test_dispatch(self):
         params = OneDecisionParams()
         assert regime_value_analytic(params, [np.array([1.0, 0.5])]) == pytest.approx(
-            value_one_decision_analytic([1.0, 0.5])
+            scenario_registry("one_decision").value(params, [[1.0, 0.5]])
         )
         with pytest.raises(InvalidParameterError, match="unknown scenario"):
             regime_value_analytic(object(), [np.zeros(2)])
@@ -173,11 +169,6 @@ class TestDiagnostics:
         assert _within_sd(np.full(5, 0.3)) == 0.0
         assert _within_sd(np.array([0.5])) == 0.0
 
-    def test_propensity_sd_diagnostic(self):
-        got = propensity_sd_diagnostic([np.array([0.4, 0.6]), np.full(3, 0.25)])
-        assert got == pytest.approx(0.5 * 0.1414213562373095)
-        assert propensity_sd_diagnostic([]) == 0.0
-
     def test_threshold_stats(self):
         block = np.array([[2.0, -1.0], [4.0, -2.0], [3.0, -1.0]])
         mean, se = _threshold_stats(block)
@@ -216,7 +207,7 @@ class TestStudyConfigValidation:
             StudyConfig("one_decision", value_method="exact").resolve()
 
     def test_spec_count_checked(self):
-        specs = tuple(one_decision_specs())
+        specs = tuple(scenario_registry("one_decision").working_specs())
         with pytest.raises(InvalidParameterError, match="one stage spec"):
             StudyConfig("two_decision", specs=specs).resolve()
 
@@ -256,7 +247,6 @@ class TestRunStudy:
         assert res.mse_ratio_se is not None and np.all(res.mse_ratio_se > 0)
         assert res.propensity_sd[1] > 0.05
         assert res.propensity_sd_se[1] > 0.0
-        assert median_efficiency(res) == {e: res.summaries[e].r_median for e in res.summaries}
 
     def test_reps_one(self):
         res = run_mc_study(StudyConfig("one_decision", n=200, reps=1, master_seed=3))

@@ -21,15 +21,10 @@ from dtrkit.scenarios import (
     gen_one_decision,
     gen_two_decision,
     induced_q1_closed_form,
-    moodie_specs,
-    one_decision_full_specs,
-    one_decision_specs,
     scenario_params,
     scenario_registry,
     true_psi,
     true_regime,
-    two_decision_full_specs,
-    two_decision_specs,
 )
 
 
@@ -336,18 +331,18 @@ class TestTruthHelpers:
 
 class TestSpecHelpers:
     def test_working_specs_shapes(self):
-        (spec,) = one_decision_specs()
+        (spec,) = scenario_registry("one_decision").working_specs()
         assert spec.h_features.names() == ["1", "s1_1"]
         assert spec.c_features.names() == ["1", "s1_1"]
-        specs2 = two_decision_specs()
+        specs2 = scenario_registry("two_decision").working_specs()
         assert specs2[1].c_features.names() == ["1", "a1", "s2_1"]
-        specsm = moodie_specs()
+        specsm = scenario_registry("moodie").working_specs()
         assert specsm[1].c_features.names() == ["1", "s2_1"]
 
     def test_full_specs_add_quadratics(self):
-        (spec,) = one_decision_full_specs()
+        (spec,) = scenario_registry("one_decision").full_specs()
         assert "s1_1^2" in spec.h_features.names()
         assert "s1_1^2" in spec.propensity.features.names()
-        specs2 = two_decision_full_specs()
+        specs2 = scenario_registry("two_decision").full_specs()
         assert "s2_1^2" in specs2[1].h_features.names()
         assert "s2_1^2" in specs2[1].propensity.features.names()
