@@ -47,12 +47,14 @@ def _calibration_setup(scenario: str):
     return definition, definition.full_specs()[-1]
 
 
-def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream):
+def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream, params=None):
     """``(beta_hat, se_beta, phi_hat, se_phi)`` of the two quadratic
     coefficients, the last h and propensity features, from the fully
-    specified fits to one dataset generated with them set to ``beta_q`` and
-    ``phi_q``."""
-    params = definition.params_cls()
+    specified fits to one dataset generated from ``params`` (or defaults)
+    with them set to ``beta_q`` and ``phi_q``."""
+    params = definition.params_cls() if params is None else params
+    if not isinstance(params, definition.params_cls):
+        raise InvalidParameterError(f"params must be {definition.params_cls.__name__}")
     params = replace(
         params,
         **{
@@ -147,15 +149,17 @@ def calibrate_equiv_misspec(
     adj_r2_target: float = 0.99,
     max_rel_dev: float = 0.02,
     master_seed: int = 0,
+    params=None,
 ) -> CalibrationResult:
     """Pair outcome and propensity quadratic coefficients of equal
     detectability.
 
-    Runs one generated dataset of ``n_cal`` trajectories per grid cell
-    (stream id = cell index), averages the SE ratio over the outcome-
-    coefficient axis, fits the lowest-degree polynomial reaching the
-    adjusted R^2 target with pointwise relative deviation at most
-    ``max_rel_dev``, and emits one (phi, beta) pair per grid value.
+    Runs one dataset of ``n_cal`` trajectories per grid cell (stream id =
+    cell index), from ``params`` (or defaults) with the cell's quadratic
+    coefficients, averages the SE ratio over the outcome-coefficient axis,
+    fits the lowest-degree polynomial reaching the adjusted R^2 target with
+    pointwise relative deviation at most ``max_rel_dev``, and emits one
+    (phi, beta) pair per grid value.
     The relative-deviation gate matters: the two-decision ratio curve has
     a genuine low-amplitude wobble near zero that a low-degree fit smooths
     over, and any relative error in the fitted curve reappears one-for-one
@@ -179,7 +183,7 @@ def calibrate_equiv_misspec(
         for j, beta_q in enumerate(grid):
             _, se_beta, _, se_phi = _cell_ses(
                 definition, spec, float(beta_q), float(phi_q), n_cal,
-                make_stream(master_seed, cell),
+                make_stream(master_seed, cell), params,
             )
             cell_ratio[i, j] = se_phi / se_beta
             cell += 1
@@ -204,14 +208,16 @@ def calibrate_equiv_misspec(
     )
 
 
-def check_tstat_balance(pair, scenario: str, n: int, reps: int, master_seed: int = 0) -> float:
+def check_tstat_balance(
+    pair, scenario: str, n: int, reps: int, master_seed: int = 0, params=None
+) -> float:
     """Relative difference of mean |t| for a calibrated coefficient pair.
 
-    For ``pair = (phi, beta)``, repeatedly generates data with those
-    quadratic coefficients, fits the fully specified models, and compares
-    the mean over replications of |t| for the two quadratic coefficients.
-    Returns |difference| / mean of the two; a well calibrated pair stays
-    within a few percent.
+    For ``pair = (phi, beta)``, repeatedly generates data from ``params``
+    (or defaults) with those quadratic coefficients, fits the fully
+    specified models, and compares the mean over replications of |t| for
+    the two quadratic coefficients.  Returns |difference| / mean of the
+    two; a well calibrated pair stays within a few percent.
     """
     definition, spec = _calibration_setup(scenario)
     if reps < 1:
@@ -221,7 +227,7 @@ def check_tstat_balance(pair, scenario: str, n: int, reps: int, master_seed: int
     abs_t_phi = np.empty(reps)
     for r in range(reps):
         beta_hat, se_beta, phi_hat, se_phi = _cell_ses(
-            definition, spec, beta_q, phi_q, n, make_stream(master_seed, r)
+            definition, spec, beta_q, phi_q, n, make_stream(master_seed, r), params
         )
         abs_t_beta[r] = abs(beta_hat / se_beta)
         abs_t_phi[r] = abs(phi_hat / se_phi)

@@ -425,7 +425,7 @@ def _cmd_study(ctx: _RunContext) -> int:
 
 def _calibrate_settings(ctx: _RunContext):
     section = ctx.section("calibrate")
-    definition, _ = ctx.scenario()
+    definition, params = ctx.scenario()
     _calibration_setup(definition.name)
     grid = section.get("grid", {})
     if not isinstance(grid, dict):
@@ -466,6 +466,7 @@ def _calibrate_settings(ctx: _RunContext):
         "poly_max_degree": max_degree,
         "adj_r2_target": float(target),
         "max_rel_dev": float(rel_dev),
+        "params": params,
     }
     return definition, settings, check, section.get("output", "calibration")
 
@@ -483,11 +484,11 @@ def _cmd_calibrate(ctx: _RunContext) -> int:
     if check is not None:
         n_check, reps_check, phis = check
         for phi in phis:
-            beta = float(result.beta_for(phi))
+            pair = (float(phi), float(result.beta_for(phi)))
             rel = check_tstat_balance(
-                (float(phi), beta), definition.name, n_check, reps_check, ctx.seed + 1
+                pair, definition.name, n_check, reps_check, ctx.seed + 1, settings["params"]
             )
-            checks.append({"phi": float(phi), "beta": beta, "relative_difference": rel})
+            checks.append({"phi": pair[0], "beta": pair[1], "relative_difference": rel})
     payload = {
         "scenario": definition.name,
         "grid": {"lo": settings["grid_lo"], "hi": settings["grid_hi"], "step": settings["step"]},

@@ -195,7 +195,8 @@ class ArrayColumns:
     """Column view over plain arrays, for simulated batches.
 
     ``states`` maps stage -> (n, d_k) array and ``actions`` maps stage ->
-    (n,) array; only the stages filled in so far need to be present.
+    (n,) array; only the stages filled in so far need to be present.  As in
+    :class:`Dataset`, a leading axis stacks histories: (E, n, d_k), (E, n).
     """
 
     def __init__(self, n: int, states: dict | None = None, actions: dict | None = None):
@@ -213,11 +214,11 @@ class ArrayColumns:
             if comp != 1:
                 raise FeatureScopeError(f"state s{stage} has one component, not {comp}")
             return block
-        if comp > block.shape[1]:
+        if comp > block.shape[-1]:
             raise FeatureScopeError(
-                f"state s{stage} has {block.shape[1]} components, not {comp}"
+                f"state s{stage} has {block.shape[-1]} components, not {comp}"
             )
-        return block[:, comp - 1]
+        return block[..., comp - 1]
 
     def action_col(self, stage: int) -> np.ndarray:
         try:
@@ -298,20 +299,22 @@ def build_design(dataset: Dataset, stage: int, features: FeatureMap) -> np.ndarr
 
 @dataclass(frozen=True)
 class DecisionRule:
-    """Linear stage rule: action 1 exactly when psi' c(history) > 0."""
+    """Linear stage rule: action 1 exactly when psi' c(history) > 0.  An
+    (E, p) ``psi`` stacks E rules on the same features."""
 
     c_features: FeatureMap
     psi: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=float))
-        if self.psi.shape != (self.c_features.n_features,):
+        if self.psi.ndim not in (1, 2) or self.psi.shape[-1] != self.c_features.n_features:
             raise InvalidParameterError("rule coefficient length must match its features")
 
 
 @dataclass(frozen=True)
 class Regime:
-    """One decision rule per stage."""
+    """One decision rule per stage; rules holding (E, p) stacks make E
+    regimes, whose contrasts and actions gain a leading axis E."""
 
     rules: tuple
 
@@ -322,7 +325,7 @@ class Regime:
     def contrasts(self, stage: int, columns) -> np.ndarray:
         rule = self.rules[stage - 1]
         rule.c_features.check_stage(stage)
-        return rule.c_features.evaluate(columns) @ rule.psi
+        return np.matmul(rule.c_features.evaluate(columns), rule.psi[..., None])[..., 0]
 
     def actions(self, stage: int, columns) -> np.ndarray:
         """Vectorized rule: 1 where the contrast is strictly positive."""

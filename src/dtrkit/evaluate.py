@@ -2,8 +2,9 @@
 
 The population value H(d) of a regime d is the mean outcome were everyone
 treated according to d.  Each built-in scenario's registry entry holds H(d)
-in closed form, from normal half-line moments; ``value_gcomputation`` runs
-the scenario's law forward under any regime, averaging the true conditional
+in closed form, from normal half-line moments, for a stack of rules at once;
+``value_gcomputation`` runs the scenario's law forward under any regime, or
+under E stacked regimes on one set of draws, averaging the true conditional
 mean outcome (no outcome noise is drawn, so its Monte Carlo error comes from
 the state draws alone).
 
@@ -12,8 +13,10 @@ by the replication index, so results do not depend on scheduling), fit the
 requested estimators, record contrast coefficients and the value of the
 estimated regime.  Replications run in chunks: a chunk's datasets are drawn
 side by side into stacked arrays, and each estimator fits the whole stack in
-one backward recursion (:mod:`dtrkit.recursion`); every replication's
-numbers are exactly those it gets alone.  Summaries follow: means, SDs,
+one backward recursion (:mod:`dtrkit.recursion`); one closed-form call values
+an estimator's whole chunk, and one g-computation run per replication serves
+all its estimators.  Every replication's numbers are exactly those it gets
+alone.  Summaries follow: means, SDs,
 componentwise MSE and the A/Q MSE ratio, mean and median value efficiencies R = H(d-hat)/H(d-opt),
 mean decision thresholds for two-coefficient rules, and the within-dataset
 SD of fitted propensities.  Every summary carries its own Monte Carlo
@@ -66,9 +69,9 @@ FAILURE_ERROR_RATE = 0.10
 # ---------------------------------------------------------------------------
 
 
-def regime_value_analytic(params, psi_list) -> float:
+def regime_value_analytic(params, psi_list):
     """Closed-form H(d) for a stage-rule coefficient list on a built-in
-    scenario."""
+    scenario: a float, or (R,) values for (R, p_k) stacks (NaN rows give NaN)."""
     return scenario_of(params).value(params, psi_list)
 
 
@@ -78,13 +81,17 @@ def value_gcomputation(params, regime: Regime, n_draws: int, stream: RngStream):
     States are drawn in time order from ``stream``; actions follow the
     regime; each draw contributes the true conditional mean outcome given
     its generated history.  Returns ``(value, se)``: the mean and its Monte
-    Carlo standard error (None when ``n_draws`` is 1).
+    Carlo standard error (None when ``n_draws`` is 1).  Rules holding
+    (E, p_k) stacks make E regimes on one set of draws (memory E * n_draws):
+    (E,) values and SEs, row e exactly what regime e gets alone.
     """
     if n_draws < 1:
         raise InvalidParameterError("n_draws must be >= 1")
     u = scenario_of(params).outcome_means(params, regime, n_draws, stream)
-    value = float(np.mean(u))
-    se = float(np.std(u, ddof=1) / np.sqrt(n_draws)) if n_draws > 1 else None
+    value = np.mean(u, axis=-1)
+    se = np.std(u, axis=-1, ddof=1) / np.sqrt(n_draws) if n_draws > 1 else None
+    if u.ndim == 1:
+        return float(value), se if se is None else float(se)
     return value, se
 
 
@@ -221,31 +228,35 @@ def _run_chunk(
     """
     definition = scenario_registry(scenario)
     dataset = definition.generate(params, n, StreamStack(master_seed, reps))
-    out = {}
+    out, stage_psi = {}, {}
     extreme = np.zeros(len(reps), dtype=bool)
     for est in estimators:
         stacked = _STACKED_FITS[est](dataset, specs)
         failed = stacked.failed
         fits = stacked.stage_fits
-        psi = np.concatenate([f.psi for f in fits], axis=-1)
-        psi[failed] = np.nan
+        # Each stage's (R, p_k) rules, NaN where the fit failed: so is their value.
+        stage_psi[est] = [np.where(failed[:, None], np.nan, f.psi) for f in fits]
         value = np.full(len(reps), np.nan)
-        for r in np.flatnonzero(~failed):
-            psi_list = [f.psi[r] for f in fits]
-            if value_method == "analytic":
-                value[r] = regime_value_analytic(params, psi_list)
-            else:
-                regime = Regime(
-                    tuple(DecisionRule(s.c_features, p) for s, p in zip(specs, psi_list))
-                )
-                stream = make_stream(master_seed, reps[r]).substream(GCOMP_SUBSTREAM)
-                value[r], _ = value_gcomputation(params, regime, gcomp_draws, stream)
+        if value_method == "analytic":
+            value = regime_value_analytic(params, stage_psi[est])
         pihat_sd = None
         if est == "alearn":
             pihat_sd = np.stack([_within_sd(f.pihat) for f in fits], axis=-1)
             for f in fits:
                 extreme |= extreme_propensity(f.pihat) & ~failed
-        out[est] = (failed, psi, value, pihat_sd)
+        out[est] = (failed, np.concatenate(stage_psi[est], axis=-1), value, pihat_sd)
+    if value_method == "gcomp":
+        for r, rep in enumerate(reps):
+            # One run for the rules of every estimator that fitted replication r.
+            ok = [est for est in estimators if not out[est][0][r]]
+            if not ok:
+                continue
+            rules = [np.stack([stage_psi[est][k][r] for est in ok]) for k in range(len(specs))]
+            regime = Regime(tuple(DecisionRule(s.c_features, p) for s, p in zip(specs, rules)))
+            stream = make_stream(master_seed, rep).substream(GCOMP_SUBSTREAM)
+            values, _ = value_gcomputation(params, regime, gcomp_draws, stream)
+            for est, v in zip(ok, values):
+                out[est][2][r] = v
     return out, extreme
 
 
@@ -314,11 +325,8 @@ def run_mc_study(config: StudyConfig) -> StudyResults:
         )
 
     # Per-stage slices of the concatenated psi vector
-    slices = []
-    start = 0
-    for stage_psi in psi_true_stages:
-        slices.append(slice(start, start + len(stage_psi)))
-        start += len(stage_psi)
+    bounds = np.cumsum([0] + [len(stage_psi) for stage_psi in psi_true_stages])
+    slices = [slice(start, stop) for start, stop in zip(bounds[:-1], bounds[1:])]
 
     summaries = {}
     for est in estimators:

@@ -79,7 +79,8 @@ class FitResult:
 def norm_pdf(x):
     """Standard normal density."""
     x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    with np.errstate(over="ignore"):  # x * x overflows to inf: density 0
+        out = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
     return out if out.ndim else float(out)
 
 

@@ -130,7 +130,8 @@ class _Source:
     Without a regime (generation) variable k comes from substream k, each
     action from its propensity, and the outcome gets its noise.  With a
     regime (g-computation) the states come in turn from the stream itself,
-    the regime chooses each action, and the outcome is its mean.
+    the regime chooses each action, and the outcome is its mean; under E
+    stacked rules each raw draw serves all E, and what follows broadcasts.
     """
 
     def __init__(self, stream, n: int, regime: Regime | None = None):
@@ -157,9 +158,8 @@ class _Source:
         if self.regime is None:
             self.actions.append(self._next().bernoulli(expit(eta()), self.n))
         else:
-            history = ArrayColumns(
-                self.n, dict(enumerate(self.states, 1)), dict(enumerate(self.actions, 1))
-            )
+            states = {k: s[..., None] for k, s in enumerate(self.states, 1)}
+            history = ArrayColumns(self.n, states, dict(enumerate(self.actions, 1)))
             self.actions.append(self.regime.actions(len(self.actions) + 1, history))
         return self.actions[-1]
 
@@ -339,20 +339,20 @@ def derive_stage1_truth(params: TwoDecisionParams):
 
 
 def _linear_indicator_mean(c0, c1, r0, r1, mu, sd):
-    """E[(c0 + c1 X) 1{r0 + r1 X > 0}] for X ~ N(mu, sd^2).
+    """E[(c0 + c1 X) 1{r0 + r1 X > 0}] for X ~ N(mu, sd^2), elementwise.
 
     A zero rule slope makes the indicator constant (strict inequality, so
-    r0 = 0 means the indicator is 0).
+    r0 = 0 means the indicator is 0).  A NaN rule gives NaN.
     """
-    if r1 == 0.0:
-        return (c0 + c1 * mu) if r0 > 0.0 else 0.0
-    cut = -r0 / r1
-    side = "above" if r1 > 0.0 else "below"
-    prob, partial = trunc_norm_moments(mu, sd, cut, side)
-    return c0 * prob + c1 * partial
+    flat = r1 == 0.0
+    cut = -r0 / np.where(flat, 1.0, r1)
+    above = trunc_norm_moments(mu, sd, cut, "above")
+    below = trunc_norm_moments(mu, sd, cut, "below")
+    prob, partial = (np.where(r1 > 0.0, a, b) for a, b in zip(above, below))
+    return np.where(flat, np.where(r0 > 0.0, c0 + c1 * mu, 0.0), c0 * prob + c1 * partial)
 
 
-def _one_decision_value(params: OneDecisionParams, psi_list) -> float:
+def _one_decision_value(params: OneDecisionParams, psi_list):
     """Population value of the rule 1{psi0 + psi1 s1 > 0}.
 
     H(d) = beta0 + beta1 E(S1) + beta2 E(S1^2)
@@ -360,15 +360,15 @@ def _one_decision_value(params: OneDecisionParams, psi_list) -> float:
 
     with S1 ~ N(0, 1) and starred coefficients the true contrast.
     """
-    (psi,) = psi_list
-    psi = np.asarray(psi, dtype=float)
+    (psi,) = (np.asarray(psi, dtype=float) for psi in psi_list)
     b = np.asarray(params.beta)
     p0 = np.asarray(params.psi)
     base = b[0] + b[2]
-    return float(base + _linear_indicator_mean(p0[0], p0[1], psi[0], psi[1], 0.0, 1.0))
+    value = base + _linear_indicator_mean(p0[0], p0[1], psi[..., 0], psi[..., 1], 0.0, 1.0)
+    return value if np.ndim(value) else float(value)
 
 
-def _two_decision_value(params: TwoDecisionParams, psi_list) -> float:
+def _two_decision_value(params: TwoDecisionParams, psi_list):
     """Population value of a two-stage rule pair.
 
     Averages over the two equally likely values of S1.  Within each branch
@@ -382,16 +382,16 @@ def _two_decision_value(params: TwoDecisionParams, psi_list) -> float:
     sd2 = float(np.sqrt(params.s2_var))
     total = 0.0
     for s1 in (0.0, 1.0):
-        a1 = 1.0 if psi1[0] + psi1[1] * s1 > 0.0 else 0.0
+        a1 = np.where(psi1[..., 0] + psi1[..., 1] * s1 > 0.0, 1.0, 0.0)
         mu, h_mean = _stage2_means(params, s1, a1, sd2 * sd2)
         gain = _linear_indicator_mean(
-            p2[0] + p2[1] * a1, p2[2], psi2[0] + psi2[1] * a1, psi2[2], mu, sd2
+            p2[0] + p2[1] * a1, p2[2], psi2[..., 0] + psi2[..., 1] * a1, psi2[..., 2], mu, sd2
         )
         total += 0.5 * (h_mean + gain)
-    return float(total)
+    return total if np.ndim(total) else float(total)
 
 
-def _moodie_value(params: MoodieParams, psi_list) -> float:
+def _moodie_value(params: MoodieParams, psi_list):
     """Population value of a two-stage rule pair in the clinical scenario.
 
     The generative outcome is the potential optimal outcome minus the regret
@@ -413,9 +413,9 @@ def _moodie_value(params: MoodieParams, psi_list) -> float:
     value = params.yopt_intercept + params.yopt_slope * params.s1_mean
     for true_c, rule, mu, sd in ((p1, psi1, mu1, sd1), (p2, psi2, mu2, sd2)):
         optimal = _linear_indicator_mean(true_c[0], true_c[1], true_c[0], true_c[1], mu, sd)
-        achieved = _linear_indicator_mean(true_c[0], true_c[1], rule[0], rule[1], mu, sd)
+        achieved = _linear_indicator_mean(true_c[0], true_c[1], rule[..., 0], rule[..., 1], mu, sd)
         value -= optimal - achieved
-    return float(value)
+    return value if np.ndim(value) else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,8 @@ class ScenarioDef:
     ``generate(params, n, stream)`` draws a dataset by running ``law``.
     ``truth(params)`` gives the true contrast coefficients, one array per
     stage, and ``value(params, psi_list)`` the closed-form value of the
-    rules with coefficients ``psi_list``.  ``rules`` holds each stage's rule
+    rules with coefficients ``psi_list``: (R,) values for (R, p_k) stacks,
+    a float for (p_k,) vectors.  ``rules`` holds each stage's rule
     features and ``working`` / ``full`` each stage's ``(h, c, propensity)``
     features; ``full`` models the law exactly, quadratic terms included.
     ``calibration`` names the last-stage outcome and propensity fields whose
@@ -474,7 +475,7 @@ class ScenarioDef:
         return Regime(tuple(DecisionRule(FeatureMap.parse(f), psi) for f, psi in rules))
 
     def outcome_means(self, params, regime: Regime, n: int, stream) -> np.ndarray:
-        """The law's g-computation run: n outcome means under ``regime``."""
+        """The law's g-computation run: n outcome means under ``regime`` ((E, n) if stacked)."""
         return self.law(params, _Source(stream, n, regime))
 
 

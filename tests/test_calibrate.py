@@ -184,6 +184,26 @@ class TestTstatBalance:
         rel = check_tstat_balance((0.05, 1.0), "one_decision", 400, 60, master_seed=7)
         assert rel > 0.5
 
+    def test_params_set_the_base_law(self):
+        # The cells start from the given base: a larger outcome variance
+        # shrinks the outcome |t| and so changes the balance.
+        from dtrkit.scenarios import OneDecisionParams, TwoDecisionParams
+
+        base = check_tstat_balance((0.3, 0.3), "one_decision", 400, 20, master_seed=2)
+        same = check_tstat_balance(
+            (0.3, 0.3), "one_decision", 400, 20, master_seed=2, params=OneDecisionParams()
+        )
+        noisy = check_tstat_balance(
+            (0.3, 0.3), "one_decision", 400, 20, master_seed=2,
+            params=OneDecisionParams(y_var=900.0),
+        )
+        assert same == base
+        assert noisy > base + 0.3
+        with pytest.raises(InvalidParameterError, match="params must be OneDecisionParams"):
+            check_tstat_balance((0.0, 0.0), "one_decision", 100, 2, params=TwoDecisionParams())
+        with pytest.raises(InvalidParameterError, match="params must be TwoDecisionParams"):
+            calibrate_equiv_misspec("two_decision", n_cal=100, params=OneDecisionParams())
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError, match="calibration supports"):
             check_tstat_balance((0.0, 0.0), "moodie", 100, 2)

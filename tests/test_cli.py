@@ -479,6 +479,44 @@ class TestCalibrate:
         assert lines[1] == "phi,beta,se_ratio"
         assert len(lines) == 2 + 5
 
+    def test_scenario_params_reach_every_cell(self, capsys, tmp_path):
+        # The outcome noise variance scales SE(outcome quadratic) by
+        # sqrt(y_var / 9) in every cell, so each SE ratio by 3/10 at
+        # y_var = 100; restating the default y_var changes nothing.
+        def pairs(params, name):
+            scenario = {"name": "one_decision"}
+            if params is not None:
+                scenario["params"] = params
+            body = {
+                "seed": 42,
+                "scenario": scenario,
+                "calibrate": {
+                    "grid": {"lo": -0.2, "hi": 0.2, "step": 0.1},
+                    "n_cal": 500,
+                    "adj_r2_target": 0.01,
+                    "max_rel_dev": 0.1,
+                    "output": name,
+                },
+            }
+            path = _write_config(tmp_path, body, name=f"{name}.json")
+            code, _, _ = _run(capsys, "calibrate", str(path), "--out-dir", str(tmp_path))
+            assert code == 0
+            # drop the provenance line, which hashes the config
+            return (tmp_path / f"{name}_pairs.csv").read_text().splitlines()[1:]
+
+        default = pairs(None, "default")
+        assert len(default) == 1 + 5
+        assert pairs({"y_var": 9.0}, "restated") == default
+        noisy = pairs({"y_var": 100.0}, "noisy")
+        assert noisy != default
+        def se_ratios(lines):
+            cells = [line.split(",")[2] for line in lines[1:]]
+            return [float(c.removeprefix("np.float64(").removesuffix(")")) for c in cells]
+
+        np.testing.assert_allclose(
+            se_ratios(noisy), 0.3 * np.asarray(se_ratios(default)), rtol=1e-9
+        )
+
     def test_step_validation_message(self, capsys, tmp_path):
         body = {
             "scenario": {"name": "one_decision"},

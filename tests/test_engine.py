@@ -172,8 +172,9 @@ def test_benchmark_tracer_installs_and_uninstalls(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     assert metrics["scenarios.generate_calls"] == 1
-    # one value per replication and estimator, and the optimal value
-    assert metrics["evaluate.value_analytic_calls"] == 2 * 5 + 1
+    # one closed-form call per chunk (here one) and estimator, and the
+    # optimal value
+    assert metrics["evaluate.value_analytic_calls"] == 2 * 1 + 1
     assert metrics["evaluate.study_self_s"] > 0.0
     for owner, attr, original in originals:
         assert owner.__dict__[attr] is original

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
@@ -15,7 +17,7 @@ from dtrkit.evaluate import (
     run_mc_study,
     value_gcomputation,
 )
-from dtrkit import alearn
+from dtrkit import alearn, evaluate
 from dtrkit.alearn import alearn_fit
 from dtrkit.qlearn import qlearn_fit
 from dtrkit.rng import RngStream, make_stream
@@ -123,6 +125,87 @@ class TestAnalyticValues:
             regime_value_analytic(object(), [np.zeros(2)])
 
 
+# Rules every stacked closed form meets, per scenario and stage: zero slopes
+# with positive, zero and negative intercepts, and contrasts that are exactly
+# zero at a support point or at the state mean (ties of the cut).
+_SPECIAL_RULES = {
+    "one_decision": [[(1.0, 0.0)], [(0.0, 0.0)], [(-1.0, 0.0)], [(0.0, 1.0)], [(0.0, -1.0)]],
+    "two_decision": [
+        [(1.0, 0.0), (1.0, 0.0, 0.0)],
+        [(0.0, 0.0), (0.0, 0.0, 0.0)],
+        [(-1.0, 0.0), (-1.0, 0.0, 0.0)],
+        [(0.0, 1.0), (0.0, 0.5, 0.0)],
+        [(-1.0, 1.0), (-0.5, 0.5, 0.0)],
+        [(1.0, -1.0), (0.0, 0.0, 1.0)],
+    ],
+    "moodie": [
+        [(1.0, 0.0), (1.0, 0.0)],
+        [(0.0, 0.0), (0.0, 0.0)],
+        [(-1.0, 0.0), (-1.0, 0.0)],
+        [(450.0, -1.0), (562.5, -1.0)],
+        [(-450.0, 1.0), (0.0, 1.0)],
+    ],
+}
+_COEF_SCALE = {"one_decision": 3.0, "two_decision": 3.0, "moodie": 1000.0}
+
+
+@st.composite
+def _rule_stacks(draw, name):
+    """Per-stage (R, p_k) stacks: random rows, the special rules, the truth
+    and twice the truth (the same cuts), in random order, some rows NaN."""
+    definition = scenario_registry(name)
+    truth = [np.asarray(p) for p in definition.truth(definition.params_cls())]
+    coef = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 0.5]),
+        st.floats(-_COEF_SCALE[name], _COEF_SCALE[name], allow_subnormal=False),
+    )
+    sizes = [len(features) for features in definition.rules]
+    rows = [
+        [np.asarray(draw(st.lists(coef, min_size=p, max_size=p))) for p in sizes]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    rows += [[np.asarray(p, dtype=float) for p in rule] for rule in _SPECIAL_RULES[name]]
+    rows += [truth, [2.0 * p for p in truth]]
+    rows = draw(st.permutations(rows))
+    nan = np.asarray(draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows))))
+    stages = [np.stack([row[k] for row in rows]) for k in range(definition.n_stages)]
+    for block in stages:
+        block[nan] = np.nan
+    return stages, nan
+
+
+class TestStackedValues:
+    @pytest.mark.parametrize("name", ["one_decision", "two_decision", "moodie"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_rules_alone(self, name, data):
+        stages, nan = data.draw(_rule_stacks(name))
+        definition = scenario_registry(name)
+        params = definition.params_cls()
+        h_opt = definition.value(params, definition.truth(params))
+        stacked = definition.value(params, stages)
+        assert stacked.shape == nan.shape
+        for r in range(nan.size):
+            alone = definition.value(params, [block[r : r + 1] for block in stages])
+            assert alone.tobytes() == stacked[r : r + 1].tobytes()
+            plain = definition.value(params, [block[r] for block in stages])
+            assert isinstance(plain, float)
+            assert np.float64(plain).tobytes() == alone.tobytes()
+        assert np.all(np.isnan(stacked[nan]))
+        assert np.all(stacked[~nan] <= h_opt + 1e-12)
+
+    @pytest.mark.parametrize("name", ["one_decision", "two_decision", "moodie"])
+    def test_truth_row_has_the_optimal_value(self, name):
+        definition = scenario_registry(name)
+        params = definition.params_cls()
+        truth = definition.truth(params)
+        h_opt = definition.value(params, truth)
+        stacked = definition.value(params, [np.stack([p, 2.0 * p, -p]) for p in truth])
+        assert abs(stacked[0] - h_opt) <= 1e-12
+        assert abs(stacked[1] - h_opt) <= 1e-12
+        assert stacked[2] < h_opt
+
+
 class TestGcomputation:
     @pytest.mark.parametrize(
         "params,psi_list",
@@ -154,6 +237,30 @@ class TestGcomputation:
         _, se_small = value_gcomputation(OneDecisionParams(), regime, 4_000, RngStream(2, 0))
         _, se_big = value_gcomputation(OneDecisionParams(), regime, 64_000, RngStream(2, 1))
         assert se_small / se_big == pytest.approx(4.0, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "name,psi_a,psi_b",
+        [
+            ("one_decision", [[0.3, -0.7]], [[1.0, 0.0]]),
+            ("two_decision", [[0.1, -1.0], [0.5, 0.2, -0.3]], [[0.3, 0.2], [1.0, 0.25, 0.5]]),
+            ("moodie", [[200.0, -0.9], [600.0, -1.8]], [[250.0, -1.0], [1.0, 0.0]]),
+        ],
+    )
+    @pytest.mark.parametrize("n_draws", [1, 777])
+    def test_stacked_regime_rows_equal_each_regime_alone(self, name, psi_a, psi_b, n_draws):
+        definition = scenario_registry(name)
+        params = definition.params_cls()
+        stacked = definition.regime([np.stack([a, b]) for a, b in zip(psi_a, psi_b)])
+        values, ses = value_gcomputation(params, stacked, n_draws, RngStream(41, 5).substream(8))
+        assert values.shape == (2,)
+        for row, psi_list in enumerate((psi_a, psi_b)):
+            regime = definition.regime([np.asarray(p) for p in psi_list])
+            value, se = value_gcomputation(params, regime, n_draws, RngStream(41, 5).substream(8))
+            assert np.float64(value).tobytes() == values[row].tobytes()
+            if n_draws == 1:
+                assert se is None and ses is None
+            else:
+                assert np.float64(se).tobytes() == ses[row].tobytes()
 
     def test_validation(self):
         regime = _regime_for(OneDecisionParams(), [[1.0, 0.5]])
@@ -286,6 +393,30 @@ class TestRunStudy:
         value, _ = value_gcomputation(params, fit.regime, 500, stream.substream(8))
         assert res.value_rep["qlearn"][0] == value
         assert_allclose(res.psi_rep["qlearn"][0], fit.stage_fits[0].psi)
+
+    def test_gcomp_runs_once_per_replication_for_all_estimators(self, monkeypatch):
+        # Replications 0 and 169 fail for both estimators: g-computation
+        # draws nothing for them and their values are NaN.  Every other
+        # replication is one run, for the rules of each estimator that fit.
+        calls = {}
+        original = evaluate.value_gcomputation
+
+        def recording(params, regime, n_draws, stream):
+            calls[stream.stream_id] = regime.rules[0].psi.shape[0]
+            return original(params, regime, n_draws, stream)
+
+        monkeypatch.setattr(evaluate, "value_gcomputation", recording)
+        config = StudyConfig(
+            "two_decision", n=30, reps=400, master_seed=3, value_method="gcomp", gcomp_draws=50
+        )
+        res = run_mc_study(config)
+        both = res.failed["qlearn"] & res.failed["alearn"]
+        assert list(np.flatnonzero(both)) == [0, 169]
+        assert sorted(calls) == list(np.flatnonzero(~both))
+        for r, n_rules in calls.items():
+            assert n_rules == 2 - res.failed["qlearn"][r] - res.failed["alearn"][r]
+        for est in ("qlearn", "alearn"):
+            assert_array_equal(np.isnan(res.value_rep[est]), res.failed[est])
 
     def test_failure_accounting_low_rate(self):
         res = run_mc_study(StudyConfig("one_decision", n=30, reps=200, master_seed=5))
