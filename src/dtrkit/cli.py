@@ -233,7 +233,7 @@ def _write_residuals_csv(ctx, name, results):
         for est, result in results.items():
             for fit in result.stage_fits:
                 for i, value in enumerate(fit.residuals):
-                    fh.write(f"{est},{fit.stage},{i + 1},{value!r}\n")
+                    fh.write(f"{est},{fit.stage},{i + 1},{float(value)!r}\n")
     return path
 
 
@@ -479,7 +479,7 @@ def _cmd_calibrate(ctx: _RunContext) -> int:
         fh.write(f"# {ctx.csv_header()}\n")
         fh.write("phi,beta,se_ratio\n")
         for (phi, beta), ratio in zip(result.pairs, result.ratio_per_phi):
-            fh.write(f"{phi!r},{beta!r},{ratio!r}\n")
+            fh.write(f"{float(phi)!r},{float(beta)!r},{float(ratio)!r}\n")
     checks = []
     if check is not None:
         n_check, reps_check, phis = check

@@ -47,9 +47,17 @@ __all__ = [
 
 # Relative pivot threshold below which a linear system is declared singular.
 PIVOT_RTOL = 1e-12
-# IRLS convergence tolerance on the score and step infinity norms.
+# IRLS convergence tolerance on the score infinity norm, the only stop that
+# declares a fit converged.
 IRLS_TOL = 1e-10
 IRLS_MAX_ITER = 100
+# An IRLS step whose Newton decrement score'H^{-1}score is at most this is
+# taken in full without a likelihood comparison.  Newton's method is then in
+# its quadratically convergent phase, where a backtracking line search takes
+# the full step anyway (Boyd & Vandenberghe, Convex Optimization, 9.5);
+# comparing summed log-likelihoods there only lets rounding reject a good step.
+_NEWTON_DECREMENT_TOL = 1e-6
+_MAX_HALVINGS = 50
 
 
 @dataclass
@@ -328,9 +336,15 @@ def logistic_stack(x: np.ndarray, a: np.ndarray):
     """Logistic regression by IRLS for each replication of a stack.
 
     ``x`` is (R, n, p) and ``a`` the (R, n) 0/1 responses.  Every
-    replication follows :func:`logistic_fit`'s iteration on its own: each
-    leaves the iteration when it converges or fails, and step halving runs
-    only for the replications whose likelihood fell.
+    replication follows :func:`logistic_fit`'s iteration on its own and
+    leaves it when it converges or fails.  The probabilities and score of
+    each accepted iterate feed the next iteration's weights and convergence
+    test.  A full Newton step is accepted unchecked when its decrement
+    score'step is at most ``_NEWTON_DECREMENT_TOL``, or when the slope
+    score(candidate)'step at its end is not negative: the log-likelihood is
+    concave along the step, so it did not fall.  Only the other
+    replications compare log-likelihoods, and halve their step while the
+    candidate's is below the current one.
 
     Returns ``(phi, cov, prob, iterations, errors)``: coefficients (R, p),
     inverse Fisher information (R, p, p), fitted probabilities (R, n),
@@ -340,38 +354,38 @@ def logistic_stack(x: np.ndarray, a: np.ndarray):
     """
     reps, _, p = x.shape
     phi = np.zeros((reps, p))
-    eta = _matvec(x, phi)
-    loglik = _logistic_loglik(eta, a)
+    eta = np.zeros(a.shape)
+    prob = expit(eta)
+    # The score of the replications in ``active``, row for row.
+    score = _matvec(_swap(x), a - prob)
     score_norm = np.full(reps, np.inf)
     iterations = np.zeros(reps, dtype=int)
     factors = [None] * reps
     errors = [None] * reps
     active = np.arange(reps)
 
-    def information(rows, xs):
-        # Score and information at the current iterate of ``rows``.
-        prob = expit(_take(eta, rows))
-        score = _matvec(_swap(xs), _take(a, rows) - prob)
-        score_norm[rows] = np.abs(score).max(axis=-1, initial=0.0)
-        w = prob * (1.0 - prob)
-        factored, failed, _ = lu_stack(_matmul(_swap(xs * w[..., None]), xs), "logistic_fit")
-        return score, factored, failed
+    def fail(r, why):
+        errors[r] = NonConvergenceError(
+            f"logistic fit did not converge ({why}, score norm {score_norm[r]:.3e})",
+            score_norm=float(score_norm[r]),
+        )
 
     for it in range(1, IRLS_MAX_ITER + 1):
         if not active.size:
             break
-        xs = _take(x, active)
-        score, factored, failed = information(active, xs)
+        xs, ps = _take(x, active), _take(prob, active)
+        score_norm[active] = np.abs(score).max(axis=-1, initial=0.0)
+        w = ps * (1.0 - ps)
+        factored, failed, _ = lu_stack(_matmul(_swap(xs * w[..., None]), xs), "logistic_fit")
         going = []
         for j, r in enumerate(active.tolist()):
             if failed[j] is not None:
                 # After the first iteration, degenerate information means the
                 # likelihood is maximized at infinity, not at an interior point.
-                errors[r] = failed[j] if it == 1 else NonConvergenceError(
-                    f"logistic fit did not converge (degenerate information after "
-                    f"{it - 1} iterations, score norm {score_norm[r]:.3e})",
-                    score_norm=float(score_norm[r]),
-                )
+                if it == 1:
+                    errors[r] = failed[j]
+                else:
+                    fail(r, f"degenerate information after {it - 1} iterations")
             elif score_norm[r] < IRLS_TOL:
                 factors[r], iterations[r] = factored[j], it
             else:
@@ -383,38 +397,46 @@ def logistic_stack(x: np.ndarray, a: np.ndarray):
             if not active.size:
                 break
         step = lu_solve_stack(factored, score)
-        base, base_loglik, a_act = _take(phi, active), _take(loglik, active), _take(a, active)
-        cand = base + step
+        a_act = _take(a, active)
+        cand = _take(phi, active) + step
         cand_eta = _matvec(xs, cand)
-        cand_loglik = _logistic_loglik(cand_eta, a_act)
-        halve = np.flatnonzero(cand_loglik < base_loglik)
-        for _ in range(50):
-            if not halve.size:
-                break
-            step[halve] = 0.5 * step[halve]
-            cand[halve] = base[halve] + step[halve]
-            halved_eta = _matvec(_take(xs, halve), cand[halve])
-            halved_loglik = _logistic_loglik(halved_eta, _take(a_act, halve))
-            cand_eta = _put(cand_eta, halve, halved_eta)
-            cand_loglik[halve] = halved_loglik
-            halve = halve[halved_loglik < base_loglik[halve]]
+        cand_prob = expit(cand_eta)
+        cand_score = _matvec(_swap(xs), a_act - cand_prob)
+        check = np.flatnonzero(
+            (_rowdot(score, step) > _NEWTON_DECREMENT_TOL) & ~(_rowdot(cand_score, step) >= 0.0)
+        )
+        if check.size:
+            a_chk = a_act[check]
+            base_loglik = _logistic_loglik(eta[active[check]], a_chk)
+            halve = np.flatnonzero(_logistic_loglik(cand_eta[check], a_chk) < base_loglik)
+            halved = check[halve]
+            for _ in range(_MAX_HALVINGS):
+                if not halve.size:
+                    break
+                rows = check[halve]
+                step[rows] = 0.5 * step[rows]
+                cand[rows] = phi[active[rows]] + step[rows]
+                cand_eta[rows] = _matvec(_take(xs, rows), cand[rows])
+                still = _logistic_loglik(cand_eta[rows], a_chk[halve]) < base_loglik[halve]
+                halve = halve[still]
+            if halved.size:
+                cand_prob[halved] = expit(cand_eta[halved])
+                cand_score[halved] = _matvec(
+                    _swap(_take(xs, halved)), a_act[halved] - cand_prob[halved]
+                )
+            if halve.size:
+                for r in active[check[halve]].tolist():
+                    fail(r, f"no step halving kept the likelihood from falling in iteration {it}")
+                keep = np.ones(active.size, dtype=bool)
+                keep[check[halve]] = False
+                active, cand, cand_eta = active[keep], cand[keep], cand_eta[keep]
+                cand_prob, cand_score = cand_prob[keep], cand_score[keep]
         phi = _put(phi, active, cand)
         eta = _put(eta, active, cand_eta)
-        loglik = _put(loglik, active, cand_loglik)
-        small = np.abs(step).max(axis=-1, initial=0.0) < IRLS_TOL
-        if small.any():
-            rows = active[small]
-            _, factored, failed = information(rows, _take(xs, np.flatnonzero(small)))
-            for j, r in enumerate(rows.tolist()):
-                errors[r] = failed[j]
-                factors[r], iterations[r] = factored[j], it
-            active = active[~small]
-    for r in active:
-        errors[r] = NonConvergenceError(
-            f"logistic fit did not converge in {IRLS_MAX_ITER} iterations "
-            f"(score norm {score_norm[r]:.3e})",
-            score_norm=float(score_norm[r]),
-        )
+        prob = _put(prob, active, cand_prob)
+        score = cand_score
+    for r in active.tolist():
+        fail(r, f"not within {IRLS_MAX_ITER} iterations")
     # A final iterate that classifies every row perfectly with saturated
     # probabilities means the data are separated and the MLE diverges.  The
     # magnitude guard only rules out boundary-noise false positives; the
@@ -424,16 +446,11 @@ def logistic_stack(x: np.ndarray, a: np.ndarray):
     for r in np.flatnonzero(perfect):
         if errors[r] is None and np.abs(eta[r]).max() > 15.0:
             factors[r] = None
-            errors[r] = NonConvergenceError(
-                f"logistic fit did not converge: data are completely separated "
-                f"(score norm {score_norm[r]:.3e})",
-                score_norm=float(score_norm[r]),
-            )
+            fail(r, "data are completely separated")
     cov = lu_solve_stack(factors, np.broadcast_to(np.eye(p), (reps, p, p)))
     cov = 0.5 * (cov + _swap(cov))
     failed = np.array([e is not None for e in errors], dtype=bool)
     phi[failed] = np.nan
-    prob = expit(eta)
     prob[failed] = np.nan
     return phi, cov, prob, iterations, errors
 
@@ -442,10 +459,14 @@ def logistic_fit(x, a) -> FitResult:
     """Logistic regression by IRLS with step halving.
 
     Solves the maximum likelihood score equations
-    sum_i x_i (a_i - expit(x_i' phi)) = 0 starting from phi = 0, declaring
-    convergence when the score or the applied step drops below ``IRLS_TOL``
-    in infinity norm.  The covariance is the inverse Fisher information at
-    the solution.
+    sum_i x_i (a_i - expit(x_i' phi)) = 0 starting from phi = 0.  The fit
+    is converged only when the score drops below ``IRLS_TOL`` in infinity
+    norm; a small step is no stop.  A full Newton step is taken when its
+    decrement score'step is tiny or when the slope of the log-likelihood at
+    its end is not negative (the log-likelihood is concave along the step,
+    so it did not fall); otherwise the step is halved until the
+    log-likelihood does not fall.  The covariance is the inverse Fisher
+    information at the solution.
 
     Separated data have no finite maximizer; a fit whose final iterate
     classifies every row perfectly with saturated probabilities is reported
@@ -458,8 +479,9 @@ def logistic_fit(x, a) -> FitResult:
     SingularSystemError
         If the design is rank deficient at the starting point.
     NonConvergenceError
-        If 100 iterations pass without convergence, or the data are
-        separated.  Carries the final score infinity norm.
+        If 100 iterations pass without convergence, 50 halvings of a step
+        find no point where the log-likelihood does not fall, or the data
+        are separated.  Carries the final score infinity norm.
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)

@@ -510,12 +510,37 @@ class TestCalibrate:
         noisy = pairs({"y_var": 100.0}, "noisy")
         assert noisy != default
         def se_ratios(lines):
-            cells = [line.split(",")[2] for line in lines[1:]]
-            return [float(c.removeprefix("np.float64(").removesuffix(")")) for c in cells]
+            return [float(line.split(",")[2]) for line in lines[1:]]
 
         np.testing.assert_allclose(
             se_ratios(noisy), 0.3 * np.asarray(se_ratios(default)), rtol=1e-9
         )
+
+    def test_csv_cells_are_plain_numbers(self, capsys, tmp_path):
+        # Numpy scalars must be written as numbers, not as their repr
+        # ("np.float64(...)" under numpy 2), in both numeric CSV writers.
+        body = {
+            "seed": 42,
+            "scenario": {"name": "one_decision"},
+            "simulate": {"n": 60, "filename": "data.csv"},
+            "fit": {"dataset": str(tmp_path / "data.csv")},
+            "calibrate": {
+                "grid": {"lo": -0.2, "hi": 0.2, "step": 0.1},
+                "n_cal": 500,
+                "adj_r2_target": 0.01,
+                "max_rel_dev": 0.1,
+            },
+        }
+        path = _write_config(tmp_path, body)
+        for command in ("simulate", "fit", "calibrate"):
+            code, _, _ = _run(capsys, command, str(path), "--out-dir", str(tmp_path))
+            assert code == 0
+        for name, skip in (("fit_residuals.csv", 1), ("calibration_pairs.csv", 0)):
+            rows = (tmp_path / name).read_text().splitlines()[2:]
+            assert rows
+            for row in rows:
+                for cell in row.split(",")[skip:]:
+                    float(cell)
 
     def test_step_validation_message(self, capsys, tmp_path):
         body = {

@@ -6,10 +6,14 @@ linear-algebra wrappers against hand solutions and reference LAPACK
 routines, and the logistic fit against a brute-force likelihood search.
 """
 
+import itertools
+
 import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dtrkit import (
@@ -19,12 +23,14 @@ from dtrkit import (
     logistic_fit,
     make_stream,
     norm_pdf,
+    scenarios,
     solve_linear,
     trunc_norm_moments,
     wls_fit,
 )
+from dtrkit import numerics
 # ndtr is the normal cdf behind trunc_norm_moments and every closed-form value.
-from dtrkit.numerics import IRLS_TOL, PIVOT_RTOL, ndtr
+from dtrkit.numerics import IRLS_TOL, PIVOT_RTOL, expit, logistic_stack, ndtr
 
 mpmath.mp.dps = 30
 
@@ -362,4 +368,131 @@ class TestLogisticFit:
         a = stream.bernoulli(0.4, size=500).astype(float)
         fit = logistic_fit(x, a)
         score = x.T @ (a - 1.0 / (1.0 + np.exp(-(x @ fit.coefficients))))
-        assert np.max(np.abs(score)) < 10 * IRLS_TOL * max(1.0, np.abs(a).sum())
+        assert np.max(np.abs(score)) < IRLS_TOL
+
+
+@st.composite
+def _logistic_stacks(draw):
+    """A stack (x, a) of R logistic problems of one shape: small designs
+    with normal or Cauchy covariates, n=10,000 calibration designs
+    (two_decision's fully specified last-stage propensity), or nearly
+    separated designs with a few labels flipped across the boundary (none:
+    separated)."""
+    kind = draw(st.sampled_from(["random", "heavy_tailed", "calibration", "nearly_separated"]))
+    reps = draw(st.integers(1, 2 if kind == "calibration" else 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "calibration":
+        definition = scenarios.scenario_registry("two_decision")
+        spec = definition.full_specs()[-1]
+        base = definition.params_cls()
+        xs, acts = [], []
+        for r in range(reps):
+            phi_q = draw(st.floats(-1.0, 1.0))
+            params = scenarios.scenario_params("two_decision", phi2=base.phi2[:-1] + (phi_q,))
+            dataset = definition.generate(params, 10000, make_stream(seed, r))
+            xs.append(spec.propensity.features.evaluate(dataset))
+            acts.append(dataset.action_col(definition.n_stages).astype(float))
+        return np.array(xs), np.array(acts)
+    if kind in ("random", "heavy_tailed"):
+        n = draw(st.integers(5, 300))
+        p = draw(st.integers(1, 4))
+        if kind == "random":
+            covariates = rng.normal(size=(reps, n, p - 1))
+        else:
+            covariates = draw(st.sampled_from([1.0, 10.0])) * rng.standard_cauchy((reps, n, p - 1))
+        x = np.concatenate([np.ones((reps, n, 1)), covariates], axis=-1)
+        coef = rng.normal(scale=draw(st.sampled_from([0.5, 2.0, 6.0])), size=(reps, p))
+        prob = expit(np.matmul(x, coef[..., None])[..., 0])
+        return x, (rng.random((reps, n)) < prob).astype(float)
+    n = draw(st.integers(20, 400))
+    s = rng.normal(size=(reps, n))
+    x = np.stack([np.ones((reps, n)), s], axis=-1)
+    a = (s > 0.0).astype(float)
+    flips = draw(st.integers(0, 3))
+    for r in range(reps):
+        flip = rng.choice(np.argsort(np.abs(s[r]))[: 2 * flips], size=flips, replace=False)
+        a[r, flip] = 1.0 - a[r, flip]
+    return x, a
+
+
+def _fitted_and_score(x, a, phi):
+    # Probabilities and score at each phi of a stack, computed as the IRLS
+    # computes them: one BLAS call per problem.
+    prob = expit(np.matmul(x, phi[..., None])[..., 0])
+    return prob, np.matmul(np.swapaxes(x, -1, -2), (a - prob)[..., None])[..., 0]
+
+
+def _overshooting_problem():
+    # 15 rows, an intercept and three Cauchy covariates.  One Newton step of
+    # this fit overshoots: the slope at its end is negative and the
+    # log-likelihood falls, so the step is halved (four times).  No first
+    # step from phi = 0 can overshoot, as the weights start at their
+    # maximum 1/4.
+    rng = np.random.default_rng(2200)
+    n, p = int(rng.integers(10, 200)), int(rng.integers(2, 5))
+    x = np.column_stack([np.ones(n), rng.standard_cauchy(size=(n, p - 1)) * rng.choice([1, 10])])
+    coef = rng.normal(scale=rng.choice([0.5, 3, 10]), size=p)
+    return x, (rng.random(n) < expit(x @ coef)).astype(float)
+
+
+class TestLogisticStack:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=_logistic_stacks())
+    def test_converged_means_score_below_tolerance(self, problem):
+        x, a = problem
+        phi, cov, prob, iterations, errors = logistic_stack(x, a)
+        fitted, score = _fitted_and_score(x, a, phi)
+        for r, error in enumerate(errors):
+            if error is None:
+                assert np.abs(score[r]).max() < IRLS_TOL
+                assert prob[r].tobytes() == fitted[r].tobytes()
+                assert iterations[r] >= 1 and np.all(np.isfinite(cov[r]))
+            else:
+                assert isinstance(error, (NonConvergenceError, SingularSystemError))
+                assert np.all(np.isnan(phi[r])) and np.all(np.isnan(prob[r]))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=_logistic_stacks())
+    def test_rows_equal_problems_alone(self, problem):
+        x, a = problem
+        stacked = logistic_stack(x, a)
+        for r in range(x.shape[0]):
+            alone = logistic_stack(x[r : r + 1], a[r : r + 1])
+            for got, ref in zip(stacked[:4], alone[:4]):
+                assert got[r : r + 1].tobytes() == ref.tobytes()
+            assert type(stacked[4][r]) is type(alone[4][0])
+
+    def test_found_false_convergence_now_converges(self):
+        # two_decision, seed 77, replication 297, stage-1 working propensity:
+        # a stop on step size instead of the score ends this fit at a score
+        # norm of 5.5e-7.
+        definition = scenarios.scenario_registry("two_decision")
+        dataset = definition.generate(definition.params_cls(), 200, make_stream(77, 297))
+        x = definition.working_specs()[0].propensity.features.evaluate(dataset)
+        a = dataset.action_col(1).astype(float)
+        fit = logistic_fit(x, a)
+        assert np.abs(x.T @ (a - fit.fitted)).max() < IRLS_TOL
+
+    def test_overshooting_step_is_halved(self, monkeypatch):
+        x, a = _overshooting_problem()
+        calls = []
+        loglik = numerics._logistic_loglik
+        monkeypatch.setattr(
+            numerics, "_logistic_loglik", lambda eta, a: calls.append(eta) or loglik(eta, a)
+        )
+        fit = logistic_fit(x, a)
+        # the current point, the full step and at least one halved step
+        assert len(calls) >= 3
+        assert np.abs(x.T @ (a - fit.fitted)).max() < IRLS_TOL
+
+    def test_failed_line_search_is_not_converged(self, monkeypatch):
+        # Every candidate compares below the current point, so no halving
+        # helps: the fit must end as an error, not as converged.
+        x, a = _overshooting_problem()
+        calls = itertools.count()
+        monkeypatch.setattr(
+            numerics, "_logistic_loglik", lambda eta, a: np.full(len(eta), -float(next(calls) > 0))
+        )
+        with pytest.raises(NonConvergenceError, match="step halving"):
+            logistic_fit(x, a)
