@@ -7,7 +7,7 @@ value of any candidate regime analytically or by forward simulation, and
 runs the Monte Carlo misspecification studies comparing the two.
 """
 
-from .alearn import ALearnResult, a_pseudo_outcome, alearn_fit, alearn_stage_solve, propensity_eval
+from .alearn import a_pseudo_outcome, alearn_fit, alearn_stage_solve, propensity_eval
 from .calibrate import CalibrationResult, calibrate_equiv_misspec, check_tstat_balance
 from .data import (
     Dataset,
@@ -18,7 +18,6 @@ from .data import (
     Regime,
     StageFit,
     StageSpec,
-    apply_regime,
     build_design,
     read_dataset_csv,
     write_dataset_csv,
@@ -50,7 +49,7 @@ from .numerics import (
     trunc_norm_moments,
     wls_fit,
 )
-from .qlearn import QLearnResult, q_pseudo_outcome, qlearn_fit
+from .qlearn import q_pseudo_outcome, qlearn_fit
 from .rng import RngStream, make_stream
 from .scenarios import (
     MoodieParams,

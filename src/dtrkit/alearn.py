@@ -44,7 +44,6 @@ from .numerics import (  # noqa: F401
 from .recursion import RegimeFit, backward_fit, first_replication, single_fit
 
 __all__ = [
-    "ALearnResult",
     "a_pseudo_outcome",
     "alearn_fit",
     "alearn_stack",
@@ -52,8 +51,6 @@ __all__ = [
     "extreme_propensity",
     "propensity_eval",
 ]
-
-ALearnResult = RegimeFit
 
 # Stacked moment sums at the solution must vanish to solver precision.
 MOMENT_TOL = 1e-8

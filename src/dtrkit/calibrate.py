@@ -36,6 +36,14 @@ from .scenarios import scenario_names, scenario_registry
 
 __all__ = ["CalibrationResult", "calibrate_equiv_misspec", "check_tstat_balance"]
 
+# The polynomial fit gates: highest degree tried, adjusted R^2 target and
+# largest pointwise relative deviation of the fitted ratio curve.
+POLY_MAX_DEGREE = 20
+ADJ_R2_TARGET = 0.99
+MAX_REL_DEV = 0.02
+# Fewest trajectories per grid cell that fit the models.
+MIN_N_CAL = 10
+
 
 def _calibration_setup(scenario: str):
     """Registry entry and fully specified last stage of a scenario whose
@@ -145,9 +153,6 @@ def calibrate_equiv_misspec(
     grid_hi: float = 1.0,
     step: float = 0.05,
     n_cal: int = 10000,
-    poly_max_degree: int = 20,
-    adj_r2_target: float = 0.99,
-    max_rel_dev: float = 0.02,
     master_seed: int = 0,
     params=None,
 ) -> CalibrationResult:
@@ -157,15 +162,15 @@ def calibrate_equiv_misspec(
     Runs one dataset of ``n_cal`` trajectories per grid cell (stream id =
     cell index), from ``params`` (or defaults) with the cell's quadratic
     coefficients, averages the SE ratio over the outcome-coefficient axis,
-    fits the lowest-degree polynomial reaching the adjusted R^2 target with
-    pointwise relative deviation at most ``max_rel_dev``, and emits one
-    (phi, beta) pair per grid value.
+    fits the lowest-degree polynomial reaching adjusted R^2
+    ``ADJ_R2_TARGET`` with pointwise relative deviation at most
+    ``MAX_REL_DEV``, and emits one (phi, beta) pair per grid value.
     The relative-deviation gate matters: the two-decision ratio curve has
     a genuine low-amplitude wobble near zero that a low-degree fit smooths
     over, and any relative error in the fitted curve reappears one-for-one
     as t-statistic imbalance in the emitted pairs.
 
-    Raises ``CalibrationError`` if no degree up to ``poly_max_degree``
+    Raises ``CalibrationError`` if no degree up to ``POLY_MAX_DEGREE``
     meets both gates; the error reports the best fit achieved.
     """
     definition, spec = _calibration_setup(scenario)
@@ -173,8 +178,8 @@ def calibrate_equiv_misspec(
         raise InvalidParameterError("grid.step must be > 0")
     if grid_hi <= grid_lo:
         raise InvalidParameterError("grid.hi must exceed grid.lo")
-    if n_cal < 10:
-        raise InvalidParameterError("n_cal is too small to fit the models")
+    if n_cal < MIN_N_CAL:
+        raise InvalidParameterError(f"n_cal must be at least {MIN_N_CAL} to fit the models")
     n_points = int(round((grid_hi - grid_lo) / step)) + 1
     grid = grid_lo + step * np.arange(n_points)
     cell_ratio = np.empty((n_points, n_points))
@@ -189,7 +194,7 @@ def calibrate_equiv_misspec(
             cell += 1
     ratio_per_phi = cell_ratio.mean(axis=1)
     coeffs, adj_r2, degree, fit_rel = _fit_poly(
-        grid, ratio_per_phi, poly_max_degree, adj_r2_target, max_rel_dev
+        grid, ratio_per_phi, POLY_MAX_DEGREE, ADJ_R2_TARGET, MAX_REL_DEV
     )
     beta_emitted = grid / np.polyval(coeffs, grid)
     pairs = np.column_stack([grid, beta_emitted])

@@ -1,8 +1,9 @@
 """JSON-config command line front end.
 
 One config file drives every subcommand; each subcommand reads its own
-section plus the shared ``scenario`` section.  Flags ``--seed``,
-``--threads``, and ``--out-dir`` override the matching config keys.  Exit
+section plus the shared ``scenario`` section.  Flags ``--seed`` and
+``--out-dir``, on every subcommand, and ``--threads``, on ``study`` only,
+override the matching top-level config keys.  Exit
 codes: 0 success, 2 malformed configuration or input (messages name the
 offending key), 3 numerical failure (singular systems, non-convergence,
 too many failed replications).
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .alearn import alearn_fit
-from .calibrate import _calibration_setup, calibrate_equiv_misspec, check_tstat_balance
+from .calibrate import MIN_N_CAL, _calibration_setup, calibrate_equiv_misspec, check_tstat_balance
 from .data import StageSpec, read_dataset_csv, write_dataset_csv
 from .errors import (
     CalibrationError,
@@ -68,14 +70,12 @@ class _RunContext:
         if version != CONFIG_VERSION:
             raise ConfigError(f"version: unsupported config version {version!r}")
         self.sha256 = hashlib.sha256(raw).hexdigest()
-        self.seed = args.seed if args.seed is not None else self.config.get("seed", 0)
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
-        self.threads = args.threads if args.threads is not None else self.config.get("threads", 1)
-        if not isinstance(self.threads, int) or self.threads < 1:
-            raise ConfigError("threads must be a positive integer")
-        out_dir = args.out_dir if args.out_dir is not None else self.config.get("out_dir", ".")
-        self.out_dir = Path(out_dir)
+        # A flag overrides the top-level config key of its name.
+        for key in ("seed", "threads", "out_dir"):
+            if getattr(args, key, None) is not None:
+                self.config[key] = getattr(args, key)
+        self.seed = _integer(self.config, "seed", "", default=0, minimum=0)
+        self.out_dir = Path(_require(self.config, "out_dir", str, "", default="."))
 
     def section(self, name: str) -> dict:
         try:
@@ -88,17 +88,9 @@ class _RunContext:
 
     def scenario(self):
         section = self.section("scenario")
-        name = section.get("name")
-        if not isinstance(name, str):
-            raise ConfigError("scenario.name: must be a string")
+        name = _require(section, "name", str, "scenario")
         definition = scenario_registry(name)
-        overrides = section.get("params", {})
-        if not isinstance(overrides, dict):
-            raise ConfigError("scenario.params: must be an object")
-        overrides = {
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in overrides.items()
-        }
+        overrides = _require(section, "params", dict, "scenario", default={})
         try:
             params = scenario_params(name, **overrides)
         except InvalidParameterError as exc:
@@ -145,23 +137,27 @@ def _write_json(ctx: _RunContext, name: str, payload: dict) -> Path:
     return path
 
 
-def _require(section: dict, key: str, types, context: str):
+def _require(section: dict, key, types, context: str, default=None):
+    """``section[key]``, or ``default`` if the key is missing and a default is
+    given.  The value must be one of ``types``, not a bool, and finite if it
+    is a float.  ``context`` is the section's dotted path, "" at the top."""
+    name = f"{context}.{key}".lstrip(".")
     if key not in section:
-        raise ConfigError(f"{context}.{key}: required key is missing")
+        if default is None:
+            raise ConfigError(f"{name}: required key is missing")
+        return default
     value = section[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{context}.{key}: has the wrong type")
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if not isinstance(value, types) or isinstance(value, bool) or not finite:
+        raise ConfigError(f"{name}: has the wrong type or is not finite")
     return value
 
 
-def _positive_int(section: dict, key: str, context: str, default=None) -> int:
-    if key not in section:
-        if default is not None:
-            return default
-        raise ConfigError(f"{context}.{key}: required key is missing")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{context}.{key}: must be a positive integer")
+def _integer(section: dict, key: str, context: str, default=None, minimum: int = 1) -> int:
+    """An integer of at least ``minimum``; see :func:`_require`."""
+    value = _require(section, key, int, context, default)
+    if value < minimum:
+        raise ConfigError(f"{context}.{key}: must be an integer >= {minimum}".lstrip("."))
     return value
 
 
@@ -193,8 +189,9 @@ def _resolve_specs(entry, definition, context: str):
 def _simulate_settings(ctx: _RunContext):
     section = ctx.section("simulate")
     definition, params = ctx.scenario()
-    n = _positive_int(section, "n", "simulate")
-    return definition, params, n, section.get("filename", f"{definition.name}_dataset.csv")
+    n = _integer(section, "n", "simulate")
+    default = f"{definition.name}_dataset.csv"
+    return definition, params, n, _require(section, "filename", str, "simulate", default=default)
 
 
 def _cmd_simulate(ctx: _RunContext) -> int:
@@ -245,7 +242,8 @@ def _fit_settings(ctx: _RunContext):
     if estimator not in ("qlearn", "alearn", "both"):
         raise ConfigError("fit.estimator: must be 'qlearn', 'alearn', or 'both'")
     specs = _resolve_specs(section.get("specs"), definition, "fit")
-    return definition, dataset_path, estimator, specs, section.get("output", "fit")
+    output = _require(section, "output", str, "fit", default="fit")
+    return definition, dataset_path, estimator, specs, output
 
 
 def _cmd_fit(ctx: _RunContext) -> int:
@@ -293,8 +291,9 @@ def _value_settings(ctx: _RunContext):
         raise ConfigError("value.method: must be 'analytic' or 'gcomp'")
     draws = None
     if method == "gcomp":
-        draws = _positive_int(section, "gcomp_draws", "value", default=1000000)
-    return definition, params, psi_list, method, draws, section.get("output", "value.json")
+        draws = _integer(section, "gcomp_draws", "value", default=1000000)
+    output = _require(section, "output", str, "value", default="value.json")
+    return definition, params, psi_list, method, draws, output
 
 
 def _cmd_value(ctx: _RunContext) -> int:
@@ -373,20 +372,21 @@ def _study_settings(ctx: _RunContext):
     config = StudyConfig(
         scenario=definition.name,
         params=params,
-        n=_positive_int(section, "n", "study", default=definition.default_n),
-        reps=_positive_int(section, "reps", "study"),
+        n=_integer(section, "n", "study", default=definition.default_n),
+        reps=_integer(section, "reps", "study"),
         master_seed=ctx.seed,
         estimators=tuple(estimators),
         specs=_resolve_specs(section.get("specs"), definition, "study"),
         value_method=section.get("value_method", "analytic"),
-        gcomp_draws=_positive_int(section, "gcomp_draws", "study", default=10000),
-        threads=ctx.threads,
+        gcomp_draws=_integer(section, "gcomp_draws", "study", default=10000),
+        threads=_integer(ctx.config, "threads", "", default=1),
     )
     try:
         config.resolve()
     except InvalidParameterError as exc:
         raise ConfigError(f"study: {exc}") from exc
-    return definition, estimators, config, section.get("output", "study")
+    output = _require(section, "output", str, "study", default="study")
+    return definition, estimators, config, output
 
 
 def _cmd_study(ctx: _RunContext) -> int:
@@ -427,48 +427,29 @@ def _calibrate_settings(ctx: _RunContext):
     section = ctx.section("calibrate")
     definition, params = ctx.scenario()
     _calibration_setup(definition.name)
-    grid = section.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("calibrate.grid: must be an object")
-    lo = grid.get("lo", -1.0)
-    hi = grid.get("hi", 1.0)
-    step = grid.get("step", 0.05)
-    for key, value in (("lo", lo), ("hi", hi), ("step", step)):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"grid.{key}: must be a number")
+    grid = _require(section, "grid", dict, "calibrate", default={})
+    lo, hi, step = (
+        _require(grid, key, (int, float), "calibrate.grid", default=value)
+        for key, value in (("lo", -1.0), ("hi", 1.0), ("step", 0.05))
+    )
     if step <= 0:
         raise ConfigError("grid.step must be > 0")
     if hi <= lo:
         raise ConfigError("grid.hi must be > grid.lo")
-    n_cal = _positive_int(section, "n_cal", "calibrate", default=10000)
-    max_degree = _positive_int(section, "poly_max_degree", "calibrate", default=20)
-    target = section.get("adj_r2_target", 0.99)
-    if isinstance(target, bool) or not isinstance(target, (int, float)) or not 0 < target <= 1:
-        raise ConfigError("calibrate.adj_r2_target: must be in (0, 1]")
-    rel_dev = section.get("max_rel_dev", 0.02)
-    if isinstance(rel_dev, bool) or not isinstance(rel_dev, (int, float)) or rel_dev <= 0:
-        raise ConfigError("calibrate.max_rel_dev: must be > 0")
+    n_cal = _integer(section, "n_cal", "calibrate", default=10000, minimum=MIN_N_CAL)
     check = section.get("check")
     if check is not None:
-        if not isinstance(check, dict):
-            raise ConfigError("calibrate.check: must be an object")
-        n_check = _positive_int(check, "n", "calibrate.check", default=10000)
-        reps_check = _positive_int(check, "reps", "calibrate.check", default=100)
-        phis = check.get("pairs", [])
-        if not isinstance(phis, list):
-            raise ConfigError("calibrate.check.pairs: must be a list of phi values")
+        check = _require(section, "check", dict, "calibrate")
+        n_check = _integer(check, "n", "calibrate.check", default=10000)
+        reps_check = _integer(check, "reps", "calibrate.check", default=100)
+        phis = dict(enumerate(_require(check, "pairs", list, "calibrate.check", default=[])))
+        phis = [_require(phis, i, (int, float), "calibrate.check.pairs") for i in phis]
         check = (n_check, reps_check, phis)
-    settings = {
-        "grid_lo": float(lo),
-        "grid_hi": float(hi),
-        "step": float(step),
-        "n_cal": n_cal,
-        "poly_max_degree": max_degree,
-        "adj_r2_target": float(target),
-        "max_rel_dev": float(rel_dev),
-        "params": params,
-    }
-    return definition, settings, check, section.get("output", "calibration")
+    settings = dict(
+        grid_lo=float(lo), grid_hi=float(hi), step=float(step), n_cal=n_cal, params=params
+    )
+    output = _require(section, "output", str, "calibrate", default="calibration")
+    return definition, settings, check, output
 
 
 def _cmd_calibrate(ctx: _RunContext) -> int:
@@ -553,7 +534,8 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="path to the JSON config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--threads", type=int, default=None, help="override the config threads")
+        if name == "study":
+            cmd.add_argument("--threads", type=int, help="override the config threads")
         cmd.add_argument("--out-dir", default=None, help="override the config output directory")
     args = parser.parse_args(argv)
     try:

@@ -38,7 +38,6 @@ __all__ = [
     "StageFit",
     "StageSpec",
     "Term",
-    "apply_regime",
     "build_design",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -330,21 +329,6 @@ class Regime:
     def actions(self, stage: int, columns) -> np.ndarray:
         """Vectorized rule: 1 where the contrast is strictly positive."""
         return (self.contrasts(stage, columns) > 0.0).astype(np.int64)
-
-
-def apply_regime(regime: Regime, stage: int, states: Sequence, actions: Sequence) -> int:
-    """Action dictated at ``stage`` given states s_1..s_k and actions a_1..a_{k-1}.
-
-    A contrast of exactly zero yields action 0.
-    """
-    if not (1 <= stage <= regime.n_stages):
-        raise InvalidParameterError(f"regime has no stage {stage}")
-    if len(states) < stage or len(actions) < stage - 1:
-        raise InvalidParameterError(f"history is too short for stage {stage}")
-    # One trajectory: a (1, d_k) block per state and a length-1 action column.
-    states = {k: np.reshape(s, (1, -1)) for k, s in enumerate(states[:stage], 1)}
-    actions = {k: [a] for k, a in enumerate(actions[: stage - 1], 1)}
-    return int(regime.actions(stage, ArrayColumns(1, states, actions))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,7 @@ from .data import Dataset, StageFit, build_design
 from .numerics import _matvec, _take, estimating_solve, require_rows, wls_fit  # noqa: F401
 from .recursion import RegimeFit, backward_fit, single_fit
 
-__all__ = ["QLearnResult", "q_pseudo_outcome", "qlearn_fit", "qlearn_stack"]
-
-QLearnResult = RegimeFit
+__all__ = ["q_pseudo_outcome", "qlearn_fit", "qlearn_stack"]
 
 
 def _stage_fit(stage: int, p_h: int, theta, cov, v, resid) -> StageFit:

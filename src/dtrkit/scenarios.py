@@ -45,6 +45,9 @@ no outcome noise.
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,9 +76,45 @@ __all__ = [
 ]
 
 
+def _finite_float(value) -> float:
+    """``value`` as a float if it is one finite real number (not a bool), else NaN."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return float(value) if real and abs(value) <= sys.float_info.max else math.nan
+
+
+class _Params:
+    """Base of the scenario parameter classes, which checks each field against
+    its default.  A tuple default takes a list or tuple of as many finite real
+    numbers, any other default one finite real number; values are stored as
+    floats, and the fields in ``_scales`` (variances and sds) must be > 0.  A
+    bad value raises :class:`InvalidParameterError` naming the field."""
+
+    _scales = ()
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value, default = getattr(self, field.name), field.default
+            vector = isinstance(default, tuple)
+            if not vector:
+                floats = (_finite_float(value),)
+            elif isinstance(value, (list, tuple)) and len(value) == len(default):
+                floats = tuple(map(_finite_float, value))
+            else:
+                floats = (math.nan,)
+            if not all(map(math.isfinite, floats)):
+                raise InvalidParameterError(
+                    f"{field.name} must be finite numbers shaped like {default!r}, got {value!r}"
+                )
+            if field.name in self._scales and floats[0] <= 0.0:
+                raise InvalidParameterError(f"{field.name} must be positive")
+            object.__setattr__(self, field.name, floats if vector else floats[0])
+
+
 @dataclass(frozen=True)
-class OneDecisionParams:
+class OneDecisionParams(_Params):
     """Parameters of the one-stage scenario (variances, not sds)."""
+
+    _scales = ("y_var",)
 
     phi: tuple = (0.0, -2.0, 0.0)
     beta: tuple = (1.0, 1.0, 0.0)
@@ -84,8 +123,10 @@ class OneDecisionParams:
 
 
 @dataclass(frozen=True)
-class TwoDecisionParams:
+class TwoDecisionParams(_Params):
     """Parameters of the two-stage scenario (variances, not sds)."""
+
+    _scales = ("s2_var", "y_var")
 
     phi1: tuple = (0.3, -0.5)
     delta: tuple = (0.0, 0.5, -0.75, 0.25)
@@ -97,13 +138,15 @@ class TwoDecisionParams:
 
 
 @dataclass(frozen=True)
-class MoodieParams:
+class MoodieParams(_Params):
     """Parameters of the clinical-scale two-stage scenario (sds, not variances).
 
     Both contrast slopes are negative by default: treatment helps below a
     state threshold (-psi[0]/psi[1], here 250 at stage 1 and 360 at stage 2)
     and harms above it.
     """
+
+    _scales = ("s1_sd", "s2_sd", "yopt_sd")
 
     s1_mean: float = 450.0
     s1_sd: float = 150.0
@@ -116,12 +159,6 @@ class MoodieParams:
     yopt_intercept: float = 400.0
     yopt_slope: float = 1.6
     yopt_sd: float = 60.0
-
-
-def _check_sd(value: float, name: str) -> float:
-    if value <= 0.0:
-        raise InvalidParameterError(f"{name} must be positive")
-    return float(value)
 
 
 class _Source:
@@ -171,7 +208,7 @@ class _Source:
 
 
 def _one_decision_law(params: OneDecisionParams, draw: _Source):
-    sd = np.sqrt(_check_sd(params.y_var, "y_var"))
+    sd = np.sqrt(params.y_var)
     b = np.asarray(params.beta)
     f = np.asarray(params.phi)
     p = np.asarray(params.psi)
@@ -181,8 +218,8 @@ def _one_decision_law(params: OneDecisionParams, draw: _Source):
 
 
 def _two_decision_law(params: TwoDecisionParams, draw: _Source):
-    s2_sd = np.sqrt(_check_sd(params.s2_var, "s2_var"))
-    y_sd = np.sqrt(_check_sd(params.y_var, "y_var"))
+    s2_sd = np.sqrt(params.s2_var)
+    y_sd = np.sqrt(params.y_var)
     f1 = np.asarray(params.phi1)
     d = np.asarray(params.delta)
     f2 = np.asarray(params.phi2)
@@ -201,8 +238,6 @@ def _two_decision_law(params: TwoDecisionParams, draw: _Source):
 
 
 def _moodie_law(params: MoodieParams, draw: _Source):
-    for name in ("s1_sd", "s2_sd", "yopt_sd"):
-        _check_sd(getattr(params, name), name)
     f1 = np.asarray(params.phi1)
     f2 = np.asarray(params.phi2)
     p1 = np.asarray(params.psi1)
@@ -557,10 +592,8 @@ def true_regime(params) -> Regime:
 
 def scenario_params(name: str, **overrides):
     """Default parameters for a scenario, with keyword overrides applied."""
-    params = scenario_registry(name).params_cls()
-    if overrides:
-        bad = set(overrides) - {f.name for f in dataclasses.fields(params)}
-        if bad:
-            raise InvalidParameterError(f"unknown parameter(s) for {name}: {sorted(bad)}")
-        params = dataclasses.replace(params, **overrides)
-    return params
+    params_cls = scenario_registry(name).params_cls
+    bad = set(overrides) - {f.name for f in dataclasses.fields(params_cls)}
+    if bad:
+        raise InvalidParameterError(f"unknown parameter(s) for {name}: {sorted(bad)}")
+    return params_cls(**overrides)

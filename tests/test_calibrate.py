@@ -77,10 +77,10 @@ class TestCalibrationResult:
         assert_allclose(result.beta_for(phis), phis / 2.0)
         assert_allclose(result.ratio_at(phis), np.full(5, 2.0))
 
-    def test_zero_phi_pairs_with_zero_beta(self):
+    def test_zero_phi_pairs_with_zero_beta(self, fit_gates):
+        fit_gates(adj_r2_target=0.0, max_rel_dev=0.1)
         res = calibrate_equiv_misspec(
-            "one_decision", grid_lo=-0.1, grid_hi=0.1, step=0.1,
-            n_cal=1500, adj_r2_target=0.0, max_rel_dev=0.1, master_seed=3,
+            "one_decision", grid_lo=-0.1, grid_hi=0.1, step=0.1, n_cal=1500, master_seed=3,
         )
         i0 = int(np.argmin(np.abs(res.grid)))
         assert res.grid[i0] == 0.0
@@ -89,11 +89,9 @@ class TestCalibrationResult:
 
 
 class TestCalibrateEndToEnd:
-    def test_deterministic_in_seed(self):
-        kwargs = dict(
-            grid_lo=-0.2, grid_hi=0.2, step=0.1,
-            n_cal=1500, adj_r2_target=0.0, max_rel_dev=0.1,
-        )
+    def test_deterministic_in_seed(self, fit_gates):
+        fit_gates(adj_r2_target=0.0, max_rel_dev=0.1)
+        kwargs = dict(grid_lo=-0.2, grid_hi=0.2, step=0.1, n_cal=1500)
         a = calibrate_equiv_misspec("one_decision", master_seed=21, **kwargs)
         b = calibrate_equiv_misspec("one_decision", master_seed=21, **kwargs)
         assert_allclose(a.cell_ratio, b.cell_ratio)
@@ -101,20 +99,20 @@ class TestCalibrateEndToEnd:
         c = calibrate_equiv_misspec("one_decision", master_seed=22, **kwargs)
         assert not np.allclose(a.cell_ratio, c.cell_ratio)
 
-    def test_grid_construction(self):
+    def test_grid_construction(self, fit_gates):
+        fit_gates(adj_r2_target=0.0, max_rel_dev=0.1)
         res = calibrate_equiv_misspec(
-            "one_decision", grid_lo=-0.2, grid_hi=0.2, step=0.1,
-            n_cal=1500, adj_r2_target=0.0, max_rel_dev=0.1, master_seed=42,
+            "one_decision", grid_lo=-0.2, grid_hi=0.2, step=0.1, n_cal=1500, master_seed=42,
         )
         assert_allclose(res.grid, [-0.2, -0.1, 0.0, 0.1, 0.2], atol=1e-12)
         assert res.cell_ratio.shape == (5, 5)
         assert_allclose(res.ratio_per_phi, res.cell_ratio.mean(axis=1))
         assert_allclose(res.pairs[:, 1], res.grid / np.polyval(res.poly_coeffs, res.grid))
 
-    def test_odd_symmetric_pairing_when_curve_is_even(self):
+    def test_odd_symmetric_pairing_when_curve_is_even(self, fit_gates):
+        fit_gates(adj_r2_target=0.5, max_rel_dev=0.05)
         res = calibrate_equiv_misspec(
-            "one_decision", grid_lo=-0.2, grid_hi=0.2, step=0.1,
-            n_cal=2000, adj_r2_target=0.5, max_rel_dev=0.05, master_seed=42,
+            "one_decision", grid_lo=-0.2, grid_hi=0.2, step=0.1, n_cal=2000, master_seed=42,
         )
         n = len(res.grid)
         row_se = res.cell_ratio.std(axis=1, ddof=1) / np.sqrt(res.cell_ratio.shape[1])
@@ -126,10 +124,11 @@ class TestCalibrateEndToEnd:
             # then the pairing inherits odd symmetry
             assert abs(res.pairs[i, 1] + res.pairs[j, 1]) < 0.05
 
-    def test_emitted_pairs_stable_in_n_cal(self):
+    def test_emitted_pairs_stable_in_n_cal(self, fit_gates):
         # quadrupling the per-cell sample moves the emitted pairings by less
         # than twice the ratio's MC standard error
-        kwargs = dict(grid_lo=-0.2, grid_hi=0.2, step=0.1, adj_r2_target=0.0, max_rel_dev=0.05)
+        fit_gates(adj_r2_target=0.0, max_rel_dev=0.05)
+        kwargs = dict(grid_lo=-0.2, grid_hi=0.2, step=0.1)
         a = calibrate_equiv_misspec("one_decision", n_cal=2500, master_seed=13, **kwargs)
         b = calibrate_equiv_misspec("one_decision", n_cal=10000, master_seed=14, **kwargs)
         se_a = a.cell_ratio.std(axis=1, ddof=1) / np.sqrt(a.cell_ratio.shape[1])
@@ -148,13 +147,12 @@ class TestCalibrateEndToEnd:
         with pytest.raises(InvalidParameterError, match="n_cal"):
             calibrate_equiv_misspec("one_decision", n_cal=5)
 
-    def test_failure_reports_best_fit(self):
+    def test_failure_reports_best_fit(self, fit_gates):
         # an honest grid but impossible gates
+        fit_gates(adj_r2_target=0.999999, max_rel_dev=1e-9, poly_max_degree=1)
         with pytest.raises(CalibrationError) as info:
             calibrate_equiv_misspec(
-                "one_decision", grid_lo=-0.2, grid_hi=0.2, step=0.1,
-                n_cal=1500, poly_max_degree=1, adj_r2_target=0.999999,
-                max_rel_dev=1e-9, master_seed=4,
+                "one_decision", grid_lo=-0.2, grid_hi=0.2, step=0.1, n_cal=1500, master_seed=4,
             )
         assert np.isfinite(info.value.best_adj_r2)
 

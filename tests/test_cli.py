@@ -9,6 +9,7 @@ installed ``dtrkit`` executable where the package is installed.
 import hashlib
 import importlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -66,6 +67,31 @@ class TestConfigHandling:
         assert code == 2
         assert "unknown scenario" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit", "value", "calibrate", "validate"])
+    def test_threads_flag_only_on_study(self, capsys, tmp_path, command):
+        path = _write_config(tmp_path, {"scenario": {"name": "one_decision"}})
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main([command, str(path), "--threads", "2", "--out-dir", str(out_dir)])
+        assert info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_threads_key_read_by_study_alone(self, capsys, tmp_path):
+        body = {
+            "threads": 0,
+            "scenario": {"name": "one_decision"},
+            "simulate": {"n": 5},
+            "study": {"n": 50, "reps": 3},
+        }
+        path = _write_config(tmp_path, body)
+        out_dir = str(tmp_path / "out")
+        for command in ("validate", "study"):
+            code, _, err = _run(capsys, command, str(path), "--out-dir", out_dir)
+            assert (code, "threads: must be an integer >= 1" in err) == (2, True)
+        assert _run(capsys, "study", str(path), "--threads", "1", "--out-dir", out_dir)[0] == 0
+        assert _run(capsys, "simulate", str(path), "--out-dir", out_dir)[0] == 0
+
     def test_bad_param_override(self, capsys, tmp_path):
         path = _write_config(
             tmp_path, {"scenario": {"name": "one_decision", "params": {"zeta": 1.0}}}
@@ -95,8 +121,16 @@ class TestValidate:
 
 
 _SMALL_GRID = {"grid": {"lo": -0.2, "hi": 0.2, "step": 0.1}, "n_cal": 200}
+
+
+def _params(name, **params):
+    """A scenario section with parameter overrides."""
+    return {"name": name, "params": params}
+
+
 # (command, scenario, section, exit code, message): the command's section of
 # a config that validate and the command must both accept or both reject.
+# The scenario is a name or a whole scenario section.
 CONFIG_TABLE = [
     ("simulate", "one_decision", {"n": 0}, 2, "simulate.n"),
     ("fit", "one_decision", {"dataset": "d.csv", "estimator": "bogus"}, 2, "fit.estimator"),
@@ -112,12 +146,25 @@ CONFIG_TABLE = [
     ("simulate", "one_decision", {"n": 5}, 0, ""),
     ("study", "one_decision", {"n": 50, "reps": 3}, 0, ""),
     ("value", "two_decision", {"method": "gcomp", "gcomp_draws": 100}, 0, ""),
+    ("simulate", _params("one_decision", psi="ab"), {"n": 5}, 2, "scenario.params: psi"),
+    ("simulate", _params("one_decision", y_var="x"), {"n": 5}, 2, "scenario.params: y_var"),
+    ("value", _params("one_decision", psi=[1.0]), {}, 2, "scenario.params: psi"),
+    ("study", _params("two_decision", phi2=[0, 0.5, "x", -1, 0, 0]), {"reps": 3}, 2, "phi2"),
+    ("simulate", _params("one_decision", y_var=-1), {"n": 5}, 2, "y_var must be positive"),
+    ("simulate", _params("one_decision", psi=[math.nan, 1]), {"n": 5}, 2, "params: psi"),
+    ("simulate", _params("one_decision", y_var=True), {"n": 5}, 2, "scenario.params: y_var"),
+    ("calibrate", "one_decision", {**_SMALL_GRID, "check": {"pairs": ["x"]}}, 2, "pairs.0"),
+    ("calibrate", "one_decision", {**_SMALL_GRID, "n_cal": 5}, 2, "calibrate.n_cal"),
+    ("simulate", "one_decision", {"n": 5, "filename": 5}, 2, "simulate.filename"),
+    ("value", "two_decision", {"output": 7}, 2, "value.output"),
+    ("simulate", _params("moodie", s1_mean=450, psi1=[250, -1]), {"n": 5}, 0, ""),
 ]
 
 
 @pytest.mark.parametrize("command,scenario,section,code,message", CONFIG_TABLE)
 def test_validate_agrees_with_command(capsys, tmp_path, command, scenario, section, code, message):
-    path = _write_config(tmp_path, {"scenario": {"name": scenario}, command: section})
+    scenario = {"name": scenario} if isinstance(scenario, str) else scenario
+    path = _write_config(tmp_path, {"scenario": scenario, command: section})
     out_dir = tmp_path / "out"
     got, _, err = _run(capsys, "validate", str(path), "--out-dir", str(out_dir))
     assert (got, message in err) == (code, True)
@@ -450,15 +497,14 @@ class TestStudy:
 
 
 class TestCalibrate:
-    def test_small_calibration_artifacts(self, capsys, tmp_path):
+    def test_small_calibration_artifacts(self, capsys, tmp_path, fit_gates):
+        fit_gates(adj_r2_target=0.5, max_rel_dev=0.05)
         body = {
             "seed": 42,
             "scenario": {"name": "one_decision"},
             "calibrate": {
                 "grid": {"lo": -0.2, "hi": 0.2, "step": 0.1},
                 "n_cal": 2000,
-                "adj_r2_target": 0.5,
-                "max_rel_dev": 0.05,
                 "check": {"n": 400, "reps": 40, "pairs": [0.1]},
                 "output": "cal",
             },
@@ -479,10 +525,11 @@ class TestCalibrate:
         assert lines[1] == "phi,beta,se_ratio"
         assert len(lines) == 2 + 5
 
-    def test_scenario_params_reach_every_cell(self, capsys, tmp_path):
+    def test_scenario_params_reach_every_cell(self, capsys, tmp_path, fit_gates):
         # The outcome noise variance scales SE(outcome quadratic) by
         # sqrt(y_var / 9) in every cell, so each SE ratio by 3/10 at
         # y_var = 100; restating the default y_var changes nothing.
+        fit_gates(adj_r2_target=0.01, max_rel_dev=0.1)
         def pairs(params, name):
             scenario = {"name": "one_decision"}
             if params is not None:
@@ -493,8 +540,6 @@ class TestCalibrate:
                 "calibrate": {
                     "grid": {"lo": -0.2, "hi": 0.2, "step": 0.1},
                     "n_cal": 500,
-                    "adj_r2_target": 0.01,
-                    "max_rel_dev": 0.1,
                     "output": name,
                 },
             }
@@ -516,20 +561,16 @@ class TestCalibrate:
             se_ratios(noisy), 0.3 * np.asarray(se_ratios(default)), rtol=1e-9
         )
 
-    def test_csv_cells_are_plain_numbers(self, capsys, tmp_path):
+    def test_csv_cells_are_plain_numbers(self, capsys, tmp_path, fit_gates):
         # Numpy scalars must be written as numbers, not as their repr
         # ("np.float64(...)" under numpy 2), in both numeric CSV writers.
+        fit_gates(adj_r2_target=0.01, max_rel_dev=0.1)
         body = {
             "seed": 42,
             "scenario": {"name": "one_decision"},
             "simulate": {"n": 60, "filename": "data.csv"},
             "fit": {"dataset": str(tmp_path / "data.csv")},
-            "calibrate": {
-                "grid": {"lo": -0.2, "hi": 0.2, "step": 0.1},
-                "n_cal": 500,
-                "adj_r2_target": 0.01,
-                "max_rel_dev": 0.1,
-            },
+            "calibrate": {"grid": {"lo": -0.2, "hi": 0.2, "step": 0.1}, "n_cal": 500},
         }
         path = _write_config(tmp_path, body)
         for command in ("simulate", "fit", "calibrate"):
@@ -552,16 +593,14 @@ class TestCalibrate:
         assert code == 2
         assert "grid.step must be > 0" in err
 
-    def test_unattainable_fit_exits_3(self, capsys, tmp_path):
+    def test_unattainable_fit_exits_3(self, capsys, tmp_path, fit_gates):
+        fit_gates(adj_r2_target=0.999999, max_rel_dev=1e-9, poly_max_degree=1)
         body = {
             "seed": 4,
             "scenario": {"name": "one_decision"},
             "calibrate": {
                 "grid": {"lo": -0.2, "hi": 0.2, "step": 0.1},
                 "n_cal": 1500,
-                "poly_max_degree": 1,
-                "adj_r2_target": 0.999999,
-                "max_rel_dev": 1e-9,
             },
         }
         path = _write_config(tmp_path, body)

@@ -13,7 +13,6 @@ from dtrkit.data import (
     Regime,
     StageSpec,
     Term,
-    apply_regime,
     build_design,
     parse_term,
     read_dataset_csv,
@@ -216,9 +215,8 @@ class TestRegime:
         # threshold rule: treat while s1 < 250, boundary exactly at zero
         rule = DecisionRule(FeatureMap.parse(["1", "s1"]), np.array([250.0, -1.0]))
         regime = Regime((rule,))
-        assert apply_regime(regime, 1, [np.array([240.0])], []) == 1
-        assert apply_regime(regime, 1, [np.array([250.0])], []) == 0
-        assert apply_regime(regime, 1, [np.array([260.0])], []) == 0
+        cols = ArrayColumns(3, states={1: np.array([[240.0], [250.0], [260.0]])})
+        assert_array_equal(regime.actions(1, cols), [1, 0, 0])
 
     def test_zero_rule_never_treats(self):
         regime = Regime((DecisionRule(FeatureMap.parse(["1", "s1"]), np.zeros(2)),))
@@ -232,16 +230,9 @@ class TestRegime:
         ds = _small_dataset()
         batch = regime.actions(2, ds)
         for i in range(ds.n):
-            states = [s[i] for s in ds.states]
-            actions = [int(a[i]) for a in ds.actions]
-            assert batch[i] == apply_regime(regime, 2, states, actions)
-
-    def test_apply_regime_errors(self):
-        regime = Regime((DecisionRule(FeatureMap.parse(["1"]), np.array([1.0])),))
-        with pytest.raises(InvalidParameterError, match="no stage 2"):
-            apply_regime(regime, 2, [np.array([0.0])], [])
-        with pytest.raises(InvalidParameterError, match="too short"):
-            apply_regime(regime, 1, [], [])
+            states = {k: s[i : i + 1] for k, s in enumerate(ds.states, 1)}
+            actions = {k: a[i : i + 1] for k, a in enumerate(ds.actions, 1)}
+            assert batch[i] == regime.actions(2, ArrayColumns(1, states, actions))[0]
 
     def test_contrast_scope_enforced(self):
         regime = Regime((DecisionRule(FeatureMap.parse(["s2"]), np.array([1.0])),))

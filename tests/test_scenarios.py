@@ -4,11 +4,17 @@ Moment checks run at large n with 4-sigma tolerances; closed-form stage-1
 coefficients are checked against an independent quadrature oracle.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
+from dtrkit.data import ArrayColumns
 from dtrkit.errors import InvalidParameterError
 from dtrkit.numerics import expit
 from dtrkit.rng import RngStream
@@ -21,6 +27,7 @@ from dtrkit.scenarios import (
     gen_one_decision,
     gen_two_decision,
     induced_q1_closed_form,
+    scenario_names,
     scenario_params,
     scenario_registry,
     true_psi,
@@ -64,6 +71,57 @@ class TestDefaults:
     def test_scenario_params_unknown_key(self):
         with pytest.raises(InvalidParameterError, match="unknown parameter"):
             scenario_params("one_decision", sigma=2.0)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_scenario_params_check_each_override(self, data):
+        # An override is accepted exactly when it has its default's shape in
+        # finite real numbers (a variance or sd also > 0); it is then stored
+        # as floats and survives dataclasses.replace.  Anything else raises
+        # an error that names the field.
+        name = data.draw(st.sampled_from(scenario_names()))
+        field = data.draw(st.sampled_from(dataclasses.fields(scenario_registry(name).params_cls)))
+        size = len(field.default) if isinstance(field.default, tuple) else 1
+        finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers())
+        entry = st.one_of(finite, st.floats(), st.integers(), st.booleans(), st.text(max_size=2))
+        value = data.draw(
+            st.one_of(
+                finite,
+                entry,
+                st.lists(finite, min_size=size, max_size=size),
+                st.lists(entry, min_size=size, max_size=size).map(tuple),
+                st.lists(entry, max_size=size + 1),
+                st.none(),
+            )
+        )
+
+        def finite_real(v):
+            if type(v) not in (int, float):
+                return False
+            try:
+                return math.isfinite(float(v))
+            except OverflowError:
+                return False
+
+        if isinstance(field.default, tuple):
+            ok = isinstance(value, (list, tuple)) and len(value) == size
+            ok = ok and all(map(finite_real, value))
+            expected = tuple(float(v) for v in value) if ok else None
+        else:
+            ok = finite_real(value)
+            ok = ok and (float(value) > 0.0 or not field.name.endswith(("_var", "_sd")))
+            expected = float(value) if ok else None
+        if not ok:
+            with pytest.raises(InvalidParameterError, match=f"^{field.name} "):
+                scenario_params(name, **{field.name: value})
+            return
+        params = scenario_params(name, **{field.name: value})
+        stored = getattr(params, field.name)
+        assert stored == expected
+        assert type(stored) is type(expected)
+        assert all(type(v) is float for v in (stored if isinstance(stored, tuple) else (stored,)))
+        assert dataclasses.replace(params) == params
+        assert dataclasses.replace(params, **{field.name: stored}) == params
 
     def test_unknown_scenario(self):
         with pytest.raises(InvalidParameterError, match="unknown scenario"):
@@ -317,12 +375,12 @@ class TestTruthHelpers:
         assert regime.n_stages == 2
         assert regime.rules[0].c_features.names() == ["1", "s1_1"]
         assert regime.rules[1].c_features.names() == ["1", "s2_1"]
-        from dtrkit.data import apply_regime
-
-        assert apply_regime(regime, 1, [np.array([240.0])], []) == 1
-        assert apply_regime(regime, 1, [np.array([250.0])], []) == 0
-        assert apply_regime(regime, 2, [np.array([240.0]), np.array([300.0])], [1]) == 1
-        assert apply_regime(regime, 2, [np.array([240.0]), np.array([400.0])], [1]) == 0
+        # The thresholds sit at s1 = 250 and s2 = 360; a zero contrast does not treat.
+        s1 = np.array([[240.0], [250.0], [240.0], [240.0]])
+        s2 = np.array([[300.0], [300.0], [360.0], [400.0]])
+        cols = ArrayColumns(4, {1: s1, 2: s2}, {1: np.ones(4)})
+        assert_array_equal(regime.actions(1, cols), [1, 0, 1, 1])
+        assert_array_equal(regime.actions(2, cols), [1, 1, 0, 0])
 
     def test_true_regime_two_decision_rule_features(self):
         regime = true_regime(TwoDecisionParams())
