@@ -25,6 +25,7 @@ a few percent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from .numerics import logistic_fit, wls_fit
 from .rng import make_stream
 from .scenarios import scenario_names, scenario_registry
 
-__all__ = ["CalibrationResult", "calibrate_equiv_misspec", "check_tstat_balance"]
+__all__ = ["CalibrationResult", "calibrate_equiv_misspec", "check_tstat_balance", "grid_size"]
 
 # The polynomial fit gates: highest degree tried, adjusted R^2 target and
 # largest pointwise relative deviation of the fitted ratio curve.
@@ -43,6 +44,27 @@ ADJ_R2_TARGET = 0.99
 MAX_REL_DEV = 0.02
 # Fewest trajectories per grid cell that fit the models.
 MIN_N_CAL = 10
+
+
+def grid_size(grid_lo: float, grid_hi: float, step: float) -> int:
+    """Number of grid values from ``grid_lo`` to ``grid_hi`` at ``step``.
+
+    Raises :class:`InvalidParameterError` unless the step is positive, the
+    range is not empty and numpy can index the square array of grid cells.
+    """
+    if step <= 0.0:
+        raise InvalidParameterError("grid.step must be > 0")
+    if grid_hi <= grid_lo:
+        raise InvalidParameterError("grid.hi must exceed grid.lo")
+    # The most values n whose n x n float64 cell array numpy can index.
+    most = math.isqrt(np.iinfo(np.intp).max // 8)
+    count = (grid_hi - grid_lo) / step
+    n_points = int(round(count)) + 1 if count < most else most + 1
+    if n_points > most:
+        raise InvalidParameterError(
+            f"grid.step {step!r} gives more than {most} grid values, too many cells to index"
+        )
+    return n_points
 
 
 def _calibration_setup(scenario: str):
@@ -59,7 +81,9 @@ def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream, par
     """``(beta_hat, se_beta, phi_hat, se_phi)`` of the two quadratic
     coefficients, the last h and propensity features, from the fully
     specified fits to one dataset generated from ``params`` (or defaults)
-    with them set to ``beta_q`` and ``phi_q``."""
+    with them set to ``beta_q`` and ``phi_q``.  The propensity fit starts
+    at the generating coefficients, which the full model lists in its
+    feature order, so its IRLS starts next to the estimate."""
     params = definition.params_cls() if params is None else params
     if not isinstance(params, definition.params_cls):
         raise InvalidParameterError(f"params must be {definition.params_cls.__name__}")
@@ -78,7 +102,8 @@ def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream, par
     design = np.hstack([h, a[:, None] * c])
     out_fit = wls_fit(design, dataset.y)
     prop_design = spec.propensity.features.evaluate(dataset)
-    prop_fit = logistic_fit(prop_design, dataset.action_col(stage))
+    start = getattr(params, definition.calibration[1])
+    prop_fit = logistic_fit(prop_design, dataset.action_col(stage), start=start)
     q = h.shape[1] - 1
     return (
         out_fit.coefficients[q],
@@ -131,7 +156,9 @@ def _fit_poly(x: np.ndarray, y: np.ndarray, max_degree: int, target: float, max_
         coeffs = np.polyfit(x, y, degree)
         fitted = np.polyval(coeffs, x)
         sse = float(((y - fitted) ** 2).sum())
-        r2 = 1.0 - sse / sst if sst > 0.0 else 1.0
+        # Least squares with a constant term never fits worse than the mean,
+        # so R^2 >= 0; below 0 it is rounding, which a degree-0 fit shows.
+        r2 = max(1.0 - sse / sst, 0.0) if sst > 0.0 else 1.0
         adj = 1.0 - (1.0 - r2) * (m - 1) / (m - degree - 1)
         rel = float(np.abs(fitted / y - 1.0).max())
         if adj >= target and rel <= max_rel_dev:
@@ -174,13 +201,9 @@ def calibrate_equiv_misspec(
     meets both gates; the error reports the best fit achieved.
     """
     definition, spec = _calibration_setup(scenario)
-    if step <= 0.0:
-        raise InvalidParameterError("grid.step must be > 0")
-    if grid_hi <= grid_lo:
-        raise InvalidParameterError("grid.hi must exceed grid.lo")
+    n_points = grid_size(grid_lo, grid_hi, step)
     if n_cal < MIN_N_CAL:
         raise InvalidParameterError(f"n_cal must be at least {MIN_N_CAL} to fit the models")
-    n_points = int(round((grid_hi - grid_lo) / step)) + 1
     grid = grid_lo + step * np.arange(n_points)
     cell_ratio = np.empty((n_points, n_points))
     cell = 0

@@ -26,7 +26,13 @@ import numpy as np
 
 from . import __version__
 from .alearn import alearn_fit
-from .calibrate import MIN_N_CAL, _calibration_setup, calibrate_equiv_misspec, check_tstat_balance
+from .calibrate import (
+    MIN_N_CAL,
+    _calibration_setup,
+    calibrate_equiv_misspec,
+    check_tstat_balance,
+    grid_size,
+)
 from .data import StageSpec, read_dataset_csv, write_dataset_csv
 from .errors import (
     CalibrationError,
@@ -432,10 +438,10 @@ def _calibrate_settings(ctx: _RunContext):
         _require(grid, key, (int, float), "calibrate.grid", default=value)
         for key, value in (("lo", -1.0), ("hi", 1.0), ("step", 0.05))
     )
-    if step <= 0:
-        raise ConfigError("grid.step must be > 0")
-    if hi <= lo:
-        raise ConfigError("grid.hi must be > grid.lo")
+    try:
+        grid_size(lo, hi, step)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"calibrate.{exc}") from exc
     n_cal = _integer(section, "n_cal", "calibrate", default=10000, minimum=MIN_N_CAL)
     check = section.get("check")
     if check is not None:

@@ -20,6 +20,7 @@ regime with an all-zero rule never treats at that stage.
 from __future__ import annotations
 
 import csv
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -378,11 +379,29 @@ class StageSpec:
 
     @classmethod
     def parse(cls, h: Sequence[str], c: Sequence[str], propensity=None) -> "StageSpec":
-        if isinstance(propensity, (list, tuple)):
+        """Stage models from feature lists; ``propensity`` is a feature list
+        (a logistic model), a probability in [0, 1] (known by design) or
+        None."""
+        for key, features in (("h", h), ("c", c)):
+            if not _is_feature_list(features):
+                raise InvalidParameterError(
+                    f"{key} must be a list of feature strings, got {features!r}"
+                )
+        if _is_feature_list(propensity):
             propensity = LogisticPropensity(FeatureMap.parse(propensity))
-        elif isinstance(propensity, (int, float)):
+        elif isinstance(propensity, numbers.Real) and not isinstance(propensity, bool):
+            if not 0.0 <= propensity <= 1.0:
+                raise InvalidParameterError(f"propensity must lie in [0, 1], got {propensity!r}")
             propensity = KnownPropensity(float(propensity))
+        elif propensity is not None:
+            raise InvalidParameterError(
+                f"propensity must be a list of feature strings or a probability, got {propensity!r}"
+            )
         return cls(FeatureMap.parse(h), FeatureMap.parse(c), propensity)
+
+
+def _is_feature_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
 
 
 @dataclass

@@ -6,7 +6,9 @@ maximum likelihood via iteratively reweighted least squares (IRLS).
 
 The normal cdf is evaluated through the complementary error function, which
 keeps the absolute error far below the 1e-12 target everywhere, including in
-the tails.  All solvers go through one LU factorization path so that the
+the tails.  ``expit`` and ``ndtr`` call scipy's ufuncs, which are loaded on
+first use: importing scipy.special is slow, and commands that evaluate
+neither never need it.  All solvers go through one LU factorization path so that the
 rank-deficiency policy (relative pivot threshold ``PIVOT_RTOL``) is identical
 for every caller.
 
@@ -26,7 +28,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .errors import InvalidParameterError, NonConvergenceError, SingularSystemError
 
@@ -38,6 +39,7 @@ __all__ = [
     "logistic_stack",
     "lu_solve_stack",
     "lu_stack",
+    "ndtr",
     "norm_pdf",
     "require_rows",
     "solve_linear",
@@ -82,6 +84,23 @@ class FitResult:
     converged: bool = True
     iterations: int = 0
     fitted: np.ndarray = field(default=None, repr=False)
+
+
+@functools.cache
+def _special():
+    from scipy import special
+
+    return special.expit, special.ndtr
+
+
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)), scipy's ``expit``."""
+    return _special()[0](x)
+
+
+def ndtr(x):
+    """Standard normal cdf, scipy's ``ndtr``."""
+    return _special()[1](x)
 
 
 def norm_pdf(x):
@@ -332,12 +351,13 @@ def _logistic_loglik(eta: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _rowdot(a, eta) - np.logaddexp(0.0, eta).sum(axis=-1)
 
 
-def logistic_stack(x: np.ndarray, a: np.ndarray):
+def logistic_stack(x: np.ndarray, a: np.ndarray, start=None):
     """Logistic regression by IRLS for each replication of a stack.
 
-    ``x`` is (R, n, p) and ``a`` the (R, n) 0/1 responses.  Every
-    replication follows :func:`logistic_fit`'s iteration on its own and
-    leaves it when it converges or fails.  The probabilities and score of
+    ``x`` is (R, n, p) and ``a`` the (R, n) 0/1 responses.  ``start`` is the
+    starting point, (p,) or (R, p); None starts every replication at zero.
+    Every replication follows :func:`logistic_fit`'s iteration on its own
+    and leaves it when it converges or fails.  The probabilities and score of
     each accepted iterate feed the next iteration's weights and convergence
     test.  A full Newton step is accepted unchecked when its decrement
     score'step is at most ``_NEWTON_DECREMENT_TOL``, or when the slope
@@ -353,8 +373,12 @@ def logistic_stack(x: np.ndarray, a: np.ndarray):
     it (not raised).  Rows of failed replications are NaN.
     """
     reps, _, p = x.shape
-    phi = np.zeros((reps, p))
-    eta = np.zeros(a.shape)
+    if start is None:
+        phi = np.zeros((reps, p))
+        eta = np.zeros(a.shape)
+    else:
+        phi = np.array(np.broadcast_to(start, (reps, p)), dtype=float)
+        eta = _matvec(x, phi)
     prob = expit(eta)
     # The score of the replications in ``active``, row for row.
     score = _matvec(_swap(x), a - prob)
@@ -455,11 +479,13 @@ def logistic_stack(x: np.ndarray, a: np.ndarray):
     return phi, cov, prob, iterations, errors
 
 
-def logistic_fit(x, a) -> FitResult:
+def logistic_fit(x, a, start=None) -> FitResult:
     """Logistic regression by IRLS with step halving.
 
     Solves the maximum likelihood score equations
-    sum_i x_i (a_i - expit(x_i' phi)) = 0 starting from phi = 0.  The fit
+    sum_i x_i (a_i - expit(x_i' phi)) = 0 starting from ``start`` (p,), or
+    from phi = 0 when it is None.  A start near the solution saves
+    iterations: Newton's method converges quadratically there.  The fit
     is converged only when the score drops below ``IRLS_TOL`` in infinity
     norm; a small step is no stop.  A full Newton step is taken when its
     decrement score'step is tiny or when the slope of the log-likelihood at
@@ -477,7 +503,7 @@ def logistic_fit(x, a) -> FitResult:
     InvalidParameterError
         If the response is not 0/1.
     SingularSystemError
-        If the design is rank deficient at the starting point.
+        If the information is singular at the starting point.
     NonConvergenceError
         If 100 iterations pass without convergence, 50 halvings of a step
         find no point where the log-likelihood does not fall, or the data
@@ -489,7 +515,11 @@ def logistic_fit(x, a) -> FitResult:
         raise InvalidParameterError("design and response shapes do not match")
     if not np.all((a == 0.0) | (a == 1.0)):
         raise InvalidParameterError("response must be binary 0/1")
-    phi, cov, prob, iterations, errors = logistic_stack(x[None], a[None])
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (x.shape[1],):
+            raise InvalidParameterError("start must have one entry per design column")
+    phi, cov, prob, iterations, errors = logistic_stack(x[None], a[None], start)
     _raise_first(errors)
     return FitResult(
         phi[0], cov[0], a - prob[0], converged=True, iterations=int(iterations[0]), fitted=prob[0]

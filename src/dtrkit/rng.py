@@ -31,6 +31,13 @@ __all__ = ["RngStream", "StreamStack", "make_stream"]
 _WORD = (1 << 64) - 1
 
 
+def _counter(jump: int) -> np.ndarray:
+    """The Philox counter that ``Philox(key).jumped(jump)`` starts from:
+    ``jump * 2**128`` modulo ``2**256``, so jumps wrap modulo ``2**128``."""
+    jump &= (1 << 128) - 1
+    return np.array([0, 0, jump & _WORD, jump >> 64], dtype=np.uint64)
+
+
 def _key(master_seed: int, stream_id: int) -> np.ndarray:
     """The Philox key of stream ``(master_seed, stream_id)``.
 
@@ -85,10 +92,8 @@ class RngStream(_Draws):
         self.master_seed = int(master_seed)
         self.stream_id = int(stream_id)
         self._jump = int(_jump)
-        bitgen = np.random.Philox(key=_key(self.master_seed, self.stream_id))
-        if self._jump:
-            bitgen = bitgen.jumped(self._jump)
-        self._gen = np.random.Generator(bitgen)
+        key = _key(self.master_seed, self.stream_id)
+        self._gen = np.random.Generator(np.random.Philox(key=key, counter=_counter(self._jump)))
 
     def __repr__(self) -> str:
         return (
@@ -118,9 +123,7 @@ class StreamStack(_Draws):
     A draw of ``size`` values returns an array of shape ``(len(ids), size)``
     whose row r is exactly what ``RngStream(master_seed, ids[r])`` (or the
     same substream of it) draws.  One Philox generator is reused: before each
-    row its state is set to the stream's key and to the counter that
-    ``Philox(key).jumped(j)`` starts from, which is ``j * 2**128`` modulo
-    ``2**256`` (jumps wrap modulo ``2**128``).
+    row its state is set to the stream's key and counter.
     """
 
     def __init__(self, master_seed: int, stream_ids, _jump: int = 0, _gen=None):
@@ -128,8 +131,7 @@ class StreamStack(_Draws):
         self.stream_ids = [int(i) for i in stream_ids]
         self._jump = int(_jump)
         self._gen = _gen if _gen is not None else np.random.Generator(np.random.Philox(key=0))
-        jump = self._jump & ((1 << 128) - 1)
-        self._counter = np.array([0, 0, jump & _WORD, jump >> 64], dtype=np.uint64)
+        self._counter = _counter(self._jump)
         self._keys = [_key(self.master_seed, i) for i in self.stream_ids]
 
     def substream(self, index: int) -> "StreamStack":

@@ -5,6 +5,8 @@ polynomial gates are exercised on constructed curves where each gate is
 decisive on its own.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,9 +18,12 @@ from dtrkit.calibrate import (
     _fit_poly,
     calibrate_equiv_misspec,
     check_tstat_balance,
+    grid_size,
 )
 from dtrkit.errors import CalibrationError, InvalidParameterError
+from dtrkit.numerics import IRLS_TOL, expit, logistic_fit
 from dtrkit.rng import make_stream
+from dtrkit.scenarios import scenario_params
 
 HALF_NORMAL_MEAN = np.sqrt(2.0 / np.pi)
 
@@ -86,6 +91,70 @@ class TestCalibrationResult:
         assert res.grid[i0] == 0.0
         assert res.pairs[i0, 1] == 0.0
         assert res.beta_for(0.0) == 0.0
+
+
+class TestGridSize:
+    def test_counts_the_grid_values(self):
+        assert grid_size(-1.0, 1.0, 0.125) == 17
+        assert grid_size(-0.1, 0.1, 0.1) == 3
+
+    def test_rejects_grids_whose_cells_numpy_cannot_index(self):
+        # n values make an n x n float64 array: n^2 * 8 bytes must be an intp
+        limit = int(np.iinfo(np.intp).max)
+        most = math.isqrt(limit // 8)
+        assert most * most * 8 <= limit < (most + 1) * (most + 1) * 8
+        assert grid_size(0.0, float(most - 1), 1.0) == most
+        for hi, step in ((float(most), 1.0), (1.0, 1e-300), (2.0, 5e-324)):
+            with pytest.raises(InvalidParameterError, match="grid.step"):
+                grid_size(0.0, hi, step)
+
+
+# The last-stage propensity logit of each calibratable scenario's law,
+# written out: phi'(1, s1, s1^2) and phi2'(1, s1, a1, s2, a1 s2, s2^2).
+def _law_logit(name, params, dataset):
+    s1 = dataset.state_col(1, 1)
+    if name == "one_decision":
+        f = params.phi
+        return f[0] + f[1] * s1 + f[2] * s1 * s1
+    f, a1, s2 = params.phi2, dataset.action_col(1), dataset.state_col(2, 1)
+    return f[0] + f[1] * s1 + f[2] * a1 + f[3] * s2 + f[4] * a1 * s2 + f[5] * s2 * s2
+
+
+CALIBRATED = {
+    "one_decision": {"phi": (0.2, -2.0, 0.7), "beta": (1.0, 1.0, -0.4)},
+    "two_decision": {"phi2": (0.1, 0.5, 0.1, -1.0, -0.1, 1.0), "beta2": (3, 0, 0.1, -0.5, -0.5, 1)},
+}
+
+
+class TestFitStart:
+    """The propensity fit of a cell starts at the generating coefficients."""
+
+    @pytest.mark.parametrize("name", sorted(CALIBRATED))
+    def test_start_is_the_laws_logit(self, name):
+        definition, spec = _calibration_setup(name)
+        params = scenario_params(name, **CALIBRATED[name])
+        dataset = definition.generate(params, 500, make_stream(5, 1))
+        design = spec.propensity.features.evaluate(dataset)
+        start = np.asarray(getattr(params, definition.calibration[1]))
+        assert_allclose(design @ start, _law_logit(name, params, dataset), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("name", sorted(CALIBRATED))
+    @pytest.mark.parametrize("cell", range(6))
+    def test_start_converges_sooner_to_the_same_fit(self, name, cell):
+        definition, spec = _calibration_setup(name)
+        params = scenario_params(name, **CALIBRATED[name])
+        dataset = definition.generate(params, 10000, make_stream(11, cell))
+        x = spec.propensity.features.evaluate(dataset)
+        a = dataset.action_col(definition.n_stages).astype(float)
+        cold = logistic_fit(x, a)
+        warm = logistic_fit(x, a, start=getattr(params, definition.calibration[1]))
+        for fit in (cold, warm):
+            assert np.abs(x.T @ (a - expit(x @ fit.coefficients))).max() < IRLS_TOL
+        assert warm.iterations < cold.iterations
+        scale = np.abs(cold.coefficients).max()
+        assert np.abs(warm.coefficients - cold.coefficients).max() <= 1e-12 * scale
+        se = [np.sqrt(np.diag(fit.covariance)) for fit in (warm, cold)]
+        assert_allclose(*se, rtol=1e-12)
 
 
 class TestCalibrateEndToEnd:

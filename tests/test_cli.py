@@ -131,6 +131,11 @@ def _params(name, **params):
 # (command, scenario, section, exit code, message): the command's section of
 # a config that validate and the command must both accept or both reject.
 # The scenario is a name or a whole scenario section.
+# A valid stage of one_decision, and the start of the message that rejects
+# its propensity: propensities are feature lists or probabilities in [0, 1].
+_SPEC = {"h": ["1", "s1"], "c": ["1", "s1"]}
+_PROP = "specs[0]: propensity must"
+
 CONFIG_TABLE = [
     ("simulate", "one_decision", {"n": 0}, 2, "simulate.n"),
     ("fit", "one_decision", {"dataset": "d.csv", "estimator": "bogus"}, 2, "fit.estimator"),
@@ -158,6 +163,15 @@ CONFIG_TABLE = [
     ("simulate", "one_decision", {"n": 5, "filename": 5}, 2, "simulate.filename"),
     ("value", "two_decision", {"output": 7}, 2, "value.output"),
     ("simulate", _params("moodie", s1_mean=450, psi1=[250, -1]), {"n": 5}, 0, ""),
+    ("fit", "one_decision", {"dataset": "d.csv", "specs": [{"h": 5, "c": ["1"]}]}, 2, "]: h must"),
+    ("study", "one_decision", {"reps": 3, "specs": [{"h": ["1"], "c": "1"}]}, 2, "]: c must"),
+    ("study", "one_decision", {"reps": 3, "specs": [{"h": ["1"], "c": [1]}]}, 2, "]: c must"),
+    ("study", "one_decision", {"reps": 3, "specs": [_SPEC | {"propensity": "x"}]}, 2, _PROP),
+    ("study", "one_decision", {"reps": 3, "specs": [_SPEC | {"propensity": 2.0}]}, 2, _PROP),
+    ("study", "one_decision", {"reps": 3, "specs": [_SPEC | {"propensity": True}]}, 2, _PROP),
+    ("study", "one_decision", {"reps": 3, "specs": [_SPEC | {"propensity": 0.5}]}, 0, ""),
+    ("calibrate", "one_decision", {"grid": {"step": 1e-300}}, 2, "calibrate.grid.step"),
+    ("calibrate", "one_decision", {"grid": {"step": 5e-10}}, 2, "calibrate.grid.step"),
 ]
 
 
@@ -659,10 +673,11 @@ class TestConsoleScript:
         assert "cannot read config file" in run.stderr
 
     def test_import_loads_neither_linalg_nor_process_pool(self):
+        # No scipy module at all: commands that need none start without it.
         code = (
-            "import sys, dtrkit; "
-            "print([m for m in ('scipy.linalg', 'concurrent.futures.process') "
-            "if m in sys.modules])"
+            "import sys, dtrkit.cli; "
+            "print([m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'])"
         )
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -672,6 +687,33 @@ class TestConsoleScript:
             env=_subprocess_env(),
         )
         assert out.stdout.strip() == "[]"
+
+    def test_study_loads_scipy_before_its_pool_starts(self):
+        # Workers forked from a process that holds scipy need not import it
+        # each; moodie loads nothing of scipy until its closed-form value.
+        code = (
+            "import sys, concurrent.futures as cf\n"
+            "from dtrkit.evaluate import StudyConfig, run_mc_study\n"
+            "class Pool:\n"
+            "    def __init__(self, max_workers):\n"
+            "        print('scipy.special' in sys.modules)\n"
+            "    def __enter__(self):\n"
+            "        return self\n"
+            "    def __exit__(self, *exc):\n"
+            "        return False\n"
+            "    map = staticmethod(map)\n"
+            "cf.ProcessPoolExecutor = Pool\n"
+            "print('scipy.special' in sys.modules)\n"
+            "run_mc_study(StudyConfig('moodie', n=100, reps=2, threads=2))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=_subprocess_env(),
+        )
+        assert out.stdout.split() == ["False", "True"]
 
     def test_project_scripts_target(self):
         tomllib = pytest.importorskip("tomllib")

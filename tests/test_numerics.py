@@ -463,6 +463,21 @@ class TestLogisticStack:
                 assert got[r : r + 1].tobytes() == ref.tobytes()
             assert type(stacked[4][r]) is type(alone[4][0])
 
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=_logistic_stacks(), scale=st.sampled_from([0.1, 1.0]), seed=st.integers(0, 99))
+    def test_started_rows_equal_problems_alone(self, problem, scale, seed):
+        x, a = problem
+        start = np.random.default_rng(seed).normal(scale=scale, size=x.shape[::2])
+        stacked = logistic_stack(x, a, start)
+        fitted, score = _fitted_and_score(x, a, stacked[0])
+        for r in range(x.shape[0]):
+            alone = logistic_stack(x[r : r + 1], a[r : r + 1], start[r])
+            for got, ref in zip(stacked[:4], alone[:4]):
+                assert got[r : r + 1].tobytes() == ref.tobytes()
+            assert type(stacked[4][r]) is type(alone[4][0])
+            if stacked[4][r] is None:
+                assert np.abs(score[r]).max() < IRLS_TOL
+
     def test_found_false_convergence_now_converges(self):
         # two_decision, seed 77, replication 297, stage-1 working propensity:
         # a stop on step size instead of the score ends this fit at a score

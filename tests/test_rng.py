@@ -3,8 +3,20 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtrkit import InvalidParameterError, RngStream, make_stream
+from dtrkit.rng import StreamStack
+
+UINT64 = st.integers(0, 2**64 - 1)
+# Substream indices, with the counter jumps j = index + 1 around the carry
+# into the top counter word (2**64) and the wrap of the jump (2**128).
+INDICES = st.one_of(
+    st.integers(0, 50),
+    st.integers(0, 2**140),
+    *(st.integers(edge - 3, edge + 1) for edge in (2**64, 2**128)),
+)
 
 
 class TestStreamIdentity:
@@ -59,6 +71,18 @@ class TestSubstreams:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert not np.any(draws[i] == draws[j])
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=UINT64, stream_id=UINT64, index=INDICES)
+    def test_substream_draws_what_jumped_philox_draws(self, seed, stream_id, index):
+        key = np.array([seed, stream_id], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key).jumped(index + 1))
+        sub = RngStream(seed, stream_id).substream(index)
+        row = StreamStack(seed, [stream_id]).substream(index)
+        assert sub.uniform(7).tobytes() == expected.random(7).tobytes()
+        assert sub.normal(5).tobytes() == expected.standard_normal(5).tobytes()
+        fresh = RngStream(seed, stream_id).substream(index)
+        assert row.uniform(7)[0].tobytes() == fresh.uniform(7).tobytes()
 
     def test_negative_index_rejected(self):
         with pytest.raises(InvalidParameterError):
