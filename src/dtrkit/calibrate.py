@@ -47,7 +47,7 @@ MIN_N_CAL = 10
 
 
 def grid_size(grid_lo: float, grid_hi: float, step: float) -> int:
-    """Number of grid values from ``grid_lo`` to ``grid_hi`` at ``step``.
+    """Number of grid values ``grid_lo + k step`` up to ``grid_hi``.
 
     Raises :class:`InvalidParameterError` unless the step is positive, the
     range is not empty and numpy can index the square array of grid cells.
@@ -58,8 +58,9 @@ def grid_size(grid_lo: float, grid_hi: float, step: float) -> int:
         raise InvalidParameterError("grid.hi must exceed grid.lo")
     # The most values n whose n x n float64 cell array numpy can index.
     most = math.isqrt(np.iinfo(np.intp).max // 8)
-    count = (grid_hi - grid_lo) / step
-    n_points = int(round(count)) + 1 if count < most else most + 1
+    # Slack that counts 0.3 / 0.1 = 2.9999999999999996 as 3, and < 1 at most.
+    count = (grid_hi - grid_lo) / step * (1.0 + 1e-12)
+    n_points = math.floor(count) + 1 if count < most else most + 1
     if n_points > most:
         raise InvalidParameterError(
             f"grid.step {step!r} gives more than {most} grid values, too many cells to index"
@@ -77,16 +78,25 @@ def _calibration_setup(scenario: str):
     return definition, definition.full_specs()[-1]
 
 
-def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream, params=None):
-    """``(beta_hat, se_beta, phi_hat, se_phi)`` of the two quadratic
-    coefficients, the last h and propensity features, from the fully
-    specified fits to one dataset generated from ``params`` (or defaults)
-    with them set to ``beta_q`` and ``phi_q``.  The propensity fit starts
-    at the generating coefficients, which the full model lists in its
-    feature order, so its IRLS starts next to the estimate."""
+def _cell_inputs(definition, spec, params, n: int, name: str):
+    """Base params of the cells (defaults for None) and the work array their
+    designs are built in: rows of h, c and propensity features, n columns."""
+    if n < MIN_N_CAL:
+        raise InvalidParameterError(f"{name} must be at least {MIN_N_CAL} to fit the models")
     params = definition.params_cls() if params is None else params
     if not isinstance(params, definition.params_cls):
         raise InvalidParameterError(f"params must be {definition.params_cls.__name__}")
+    maps = (spec.h_features, spec.c_features, spec.propensity.features)
+    return params, np.empty((sum(m.n_features for m in maps), n))
+
+
+def _cell_ses(definition, spec, params, beta_q: float, phi_q: float, n: int, stream, work):
+    """``(beta_hat, se_beta, phi_hat, se_phi)`` of the two quadratic
+    coefficients, the last h and propensity features, from the fully
+    specified fits, built in ``work``, to one dataset generated from
+    ``params`` with them set to ``beta_q`` and ``phi_q``.  The propensity
+    fit starts at the generating coefficients, which the full model lists
+    in its feature order, so its IRLS starts next to the estimate."""
     params = replace(
         params,
         **{
@@ -95,16 +105,17 @@ def _cell_ses(definition, spec, beta_q: float, phi_q: float, n: int, stream, par
         },
     )
     dataset = definition.generate(params, n, stream)
-    stage = definition.n_stages
-    h = spec.h_features.evaluate(dataset)
-    c = spec.c_features.evaluate(dataset)
-    a = dataset.action_col(stage).astype(float)
-    design = np.hstack([h, a[:, None] * c])
-    out_fit = wls_fit(design, dataset.y)
-    prop_design = spec.propensity.features.evaluate(dataset)
+    a = dataset.action_col(definition.n_stages).astype(float)
+    p_h = spec.h_features.n_features
+    p_out = p_h + spec.c_features.n_features
+    spec.h_features.evaluate(dataset, out=work[:p_h].T)
+    spec.c_features.evaluate(dataset, out=work[p_h:p_out].T)
+    work[p_h:p_out] *= a
+    spec.propensity.features.evaluate(dataset, out=work[p_out:].T)
+    out_fit = wls_fit(work[:p_out].T, dataset.y)
     start = getattr(params, definition.calibration[1])
-    prop_fit = logistic_fit(prop_design, dataset.action_col(stage), start=start)
-    q = h.shape[1] - 1
+    prop_fit = logistic_fit(work[p_out:].T, a, start=start)
+    q = p_h - 1
     return (
         out_fit.coefficients[q],
         float(np.sqrt(out_fit.covariance[q, q])),
@@ -202,16 +213,15 @@ def calibrate_equiv_misspec(
     """
     definition, spec = _calibration_setup(scenario)
     n_points = grid_size(grid_lo, grid_hi, step)
-    if n_cal < MIN_N_CAL:
-        raise InvalidParameterError(f"n_cal must be at least {MIN_N_CAL} to fit the models")
-    grid = grid_lo + step * np.arange(n_points)
+    params, work = _cell_inputs(definition, spec, params, n_cal, "n_cal")
+    grid = np.minimum(grid_lo + step * np.arange(n_points), grid_hi)
     cell_ratio = np.empty((n_points, n_points))
     cell = 0
     for i, phi_q in enumerate(grid):
         for j, beta_q in enumerate(grid):
             _, se_beta, _, se_phi = _cell_ses(
-                definition, spec, float(beta_q), float(phi_q), n_cal,
-                make_stream(master_seed, cell), params,
+                definition, spec, params, float(beta_q), float(phi_q), n_cal,
+                make_stream(master_seed, cell), work,
             )
             cell_ratio[i, j] = se_phi / se_beta
             cell += 1
@@ -250,12 +260,13 @@ def check_tstat_balance(
     definition, spec = _calibration_setup(scenario)
     if reps < 1:
         raise InvalidParameterError("reps must be >= 1")
+    params, work = _cell_inputs(definition, spec, params, n, "n")
     phi_q, beta_q = float(pair[0]), float(pair[1])
     abs_t_beta = np.empty(reps)
     abs_t_phi = np.empty(reps)
     for r in range(reps):
         beta_hat, se_beta, phi_hat, se_phi = _cell_ses(
-            definition, spec, beta_q, phi_q, n, make_stream(master_seed, r), params
+            definition, spec, params, beta_q, phi_q, n, make_stream(master_seed, r), work
         )
         abs_t_beta[r] = abs(beta_hat / se_beta)
         abs_t_phi[r] = abs(phi_hat / se_phi)

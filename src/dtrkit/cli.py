@@ -446,7 +446,7 @@ def _calibrate_settings(ctx: _RunContext):
     check = section.get("check")
     if check is not None:
         check = _require(section, "check", dict, "calibrate")
-        n_check = _integer(check, "n", "calibrate.check", default=10000)
+        n_check = _integer(check, "n", "calibrate.check", default=10000, minimum=MIN_N_CAL)
         reps_check = _integer(check, "reps", "calibrate.check", default=100)
         phis = dict(enumerate(_require(check, "pairs", list, "calibrate.check", default=[])))
         phis = [_require(phis, i, (int, float), "calibrate.check.pairs") for i in phis]

@@ -171,16 +171,20 @@ class FeatureMap:
                     f"(history is s1..s{k}, a1..a{k - 1})"
                 )
 
-    def evaluate(self, columns) -> np.ndarray:
+    def evaluate(self, columns, out=None) -> np.ndarray:
         """Model matrix of shape (..., columns.n, n_features).
 
         Stacked columns of shape (R, n) give a stack of R model matrices.
         The row shape comes from the columns, not the terms: a constant term
-        is one row of ones, whatever the stack.
+        is one row of ones, whatever the stack.  ``out``, when given,
+        receives the matrix in its own layout, such as a (p, n) array's .T.
         """
         rows = columns.y.shape if isinstance(columns, Dataset) else (columns.n,)
         values = [t.evaluate(columns) for t in self.terms]
-        out = np.empty(np.broadcast_shapes(rows, *(v.shape for v in values)) + (len(values),))
+        shape = np.broadcast_shapes(rows, *(v.shape for v in values)) + (len(values),)
+        out = np.empty(shape) if out is None else out
+        if out.shape != shape:
+            raise InvalidParameterError(f"out must have shape {shape}, got {out.shape}")
         for j, v in enumerate(values):
             out[..., j] = v
         return out

@@ -3,7 +3,8 @@ calibration fit gates for small grids.
 
 Each acceptance test registers exactly one line; they are echoed in the
 terminal summary so the pass/fail status of every criterion is visible in
-one place regardless of output capturing.
+one place regardless of output capturing, each with the wall time of its
+test's call phase.
 """
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from dtrkit import calibrate
 
 _criterion_lines = {}
+_criterion_seconds = {}
 
 
 @pytest.fixture
@@ -35,9 +37,17 @@ def record_criterion(number: int, description: str, failures: list) -> None:
     _criterion_lines[number] = f"criterion {number} ({description}): {status}"
 
 
+def pytest_runtest_logreport(report):
+    name = report.nodeid.rpartition("::")[2]
+    if report.when == "call" and name.startswith("test_criterion_"):
+        _criterion_seconds[int(name.split("_")[2])] = report.duration
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _criterion_lines:
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for number in sorted(_criterion_lines):
-        terminalreporter.write_line(_criterion_lines[number])
+        seconds = _criterion_seconds.get(number)
+        timing = "" if seconds is None else f" in {seconds:.1f} s"
+        terminalreporter.write_line(_criterion_lines[number] + timing)

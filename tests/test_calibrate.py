@@ -6,14 +6,18 @@ decisive on its own.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dtrkit.calibrate import (
     CalibrationResult,
     _calibration_setup,
+    _cell_inputs,
     _cell_ses,
     _fit_poly,
     calibrate_equiv_misspec,
@@ -21,7 +25,7 @@ from dtrkit.calibrate import (
     grid_size,
 )
 from dtrkit.errors import CalibrationError, InvalidParameterError
-from dtrkit.numerics import IRLS_TOL, expit, logistic_fit
+from dtrkit.numerics import IRLS_TOL, expit, logistic_fit, wls_fit
 from dtrkit.rng import make_stream
 from dtrkit.scenarios import scenario_params
 
@@ -98,6 +102,30 @@ class TestGridSize:
         assert grid_size(-1.0, 1.0, 0.125) == 17
         assert grid_size(-0.1, 0.1, 0.1) == 3
 
+    @pytest.mark.parametrize(
+        "lo,hi,step,count",
+        [(-1.0, 1.0, 0.3, 7), (-1.0, 1.0, 0.7, 3), (-1.0, 1.0, 0.05, 41), (0.0, 0.3, 0.1, 4),
+         (0.1, 0.7, 0.2, 4), (0.0, 1.0, 0.4, 3)],
+    )
+    def test_last_value_does_not_pass_hi(self, lo, hi, step, count):
+        # A step that does not divide the range stops below hi; one that
+        # does, up to rounding (0.3 / 0.1 = 2.9999999999999996), reaches it.
+        assert grid_size(lo, hi, step) == count
+        assert lo + step * (count - 1) <= hi * (1.0 + 1e-12) + 1e-12
+        assert lo + step * count > hi
+
+    @given(lo=st.floats(-1.0, 1.0), step=st.floats(0.01, 1.0), k=st.integers(1, 200),
+           part=st.sampled_from([0.0, 0.5, 0.999]))
+    def test_counts_whole_steps(self, lo, step, k, part):
+        assert grid_size(lo, lo + (k + part) * step, step) == k + 1
+
+    def test_calibration_grid_ends_at_hi(self, fit_gates):
+        # 0.0 + 3 * 0.1 is 0.30000000000000004: the grid clamps it at hi.
+        fit_gates(adj_r2_target=0.0, max_rel_dev=1.0)
+        res = calibrate_equiv_misspec("one_decision", 0.0, 0.3, 0.1, n_cal=200, master_seed=8)
+        assert res.grid.tolist() == [0.0, 0.1, 0.2, 0.3]
+        assert res.cell_ratio.shape == (4, 4)
+
     def test_rejects_grids_whose_cells_numpy_cannot_index(self):
         # n values make an n x n float64 array: n^2 * 8 bytes must be an intp
         limit = int(np.iinfo(np.intp).max)
@@ -155,6 +183,45 @@ class TestFitStart:
         assert np.abs(warm.coefficients - cold.coefficients).max() <= 1e-12 * scale
         se = [np.sqrt(np.diag(fit.covariance)) for fit in (warm, cold)]
         assert_allclose(*se, rtol=1e-12)
+
+
+class TestCellWork:
+    """Each cell builds its designs in the work array of its call."""
+
+    @pytest.mark.parametrize("name", sorted(CALIBRATED))
+    def test_reused_work_array_carries_nothing_over(self, name):
+        definition, spec = _calibration_setup(name)
+        params, fresh = _cell_inputs(definition, spec, None, 2000, "n")
+        fresh.fill(np.nan)
+        alone = _cell_ses(definition, spec, params, 0.4, -0.6, 2000, make_stream(11, 3), fresh)
+        assert np.isfinite(fresh).all()
+        _, reused = _cell_inputs(definition, spec, None, 2000, "n")
+        _cell_ses(definition, spec, params, -1.0, 1.0, 2000, make_stream(11, 2), reused)
+        after = _cell_ses(definition, spec, params, 0.4, -0.6, 2000, make_stream(11, 3), reused)
+        assert after == alone
+        assert reused.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CALIBRATED))
+    def test_matches_row_major_designs(self, name):
+        # The reference builds the designs row-major, as separate matrices.
+        definition, spec = _calibration_setup(name)
+        params, work = _cell_inputs(definition, spec, None, 3000, "n")
+        got = _cell_ses(definition, spec, params, 0.5, 0.5, 3000, make_stream(4, 9), work)
+        moved = {f: getattr(params, f)[:-1] + (0.5,) for f in definition.calibration}
+        cell = replace(params, **moved)
+        dataset = definition.generate(cell, 3000, make_stream(4, 9))
+        a = dataset.action_col(definition.n_stages).astype(float)
+        h = spec.h_features.evaluate(dataset)
+        c = spec.c_features.evaluate(dataset)
+        out_fit = wls_fit(np.hstack([h, a[:, None] * c]), dataset.y)
+        prop_fit = logistic_fit(
+            spec.propensity.features.evaluate(dataset), a,
+            start=getattr(cell, definition.calibration[1]),
+        )
+        q = h.shape[1] - 1
+        ref = (out_fit.coefficients[q], np.sqrt(out_fit.covariance[q, q]),
+               prop_fit.coefficients[-1], np.sqrt(prop_fit.covariance[-1, -1]))
+        assert_allclose(got, ref, rtol=1e-12)
 
 
 class TestCalibrateEndToEnd:
@@ -232,11 +299,12 @@ class TestTstatBalance:
         # |t| is asymptotically folded standard normal, mean sqrt(2/pi)
         reps, n = 800, 400
         definition, spec = _calibration_setup("one_decision")
+        params, work = _cell_inputs(definition, spec, None, n, "n")
         t_beta = np.empty(reps)
         t_phi = np.empty(reps)
         for r in range(reps):
             beta_hat, se_b, phi_hat, se_p = _cell_ses(
-                definition, spec, 0.0, 0.0, n, make_stream(7, r)
+                definition, spec, params, 0.0, 0.0, n, make_stream(7, r), work
             )
             t_beta[r] = abs(beta_hat / se_b)
             t_phi[r] = abs(phi_hat / se_p)
@@ -276,3 +344,8 @@ class TestTstatBalance:
             check_tstat_balance((0.0, 0.0), "moodie", 100, 2)
         with pytest.raises(InvalidParameterError, match="reps"):
             check_tstat_balance((0.0, 0.0), "one_decision", 100, 0)
+        # below MIN_N_CAL, as for n_cal; two_decision's full model has 9 columns
+        with pytest.raises(InvalidParameterError, match="n must be at least 10"):
+            check_tstat_balance((0.0, 0.0), "two_decision", 5, 2)
+        with pytest.raises(InvalidParameterError, match="n_cal must be at least 10"):
+            calibrate_equiv_misspec("two_decision", n_cal=9)

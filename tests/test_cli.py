@@ -172,6 +172,7 @@ CONFIG_TABLE = [
     ("study", "one_decision", {"reps": 3, "specs": [_SPEC | {"propensity": 0.5}]}, 0, ""),
     ("calibrate", "one_decision", {"grid": {"step": 1e-300}}, 2, "calibrate.grid.step"),
     ("calibrate", "one_decision", {"grid": {"step": 5e-10}}, 2, "calibrate.grid.step"),
+    ("calibrate", "two_decision", {**_SMALL_GRID, "check": {"n": 5}}, 2, "calibrate.check.n"),
 ]
 
 

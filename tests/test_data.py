@@ -127,6 +127,28 @@ class TestFeatureMap:
         assert_array_equal(mixed[..., 0], np.ones((2, 4)))
         assert_array_equal(mixed[..., 1], stack.states[0][..., 0])
 
+    def test_evaluate_into_a_feature_major_buffer(self):
+        # The transpose of a (p, n) buffer receives the design bit for bit,
+        # for one dataset and for a stack; its other rows stay as they were.
+        ds = _small_dataset()
+        stack = Dataset(
+            tuple(np.stack([s, np.sqrt(s)]) for s in ds.states),
+            tuple(np.stack([a, 1 - a]) for a in ds.actions),
+            np.stack([ds.y, -ds.y]),
+        )
+        fm = FeatureMap.parse(["1", "s1", "s2_2^2", "s1*a1", "a1"])
+        for columns in (ds, stack):
+            expected = fm.evaluate(columns)
+            buf = np.full(expected.shape[:-2] + (7, 4), np.nan)
+            got = fm.evaluate(columns, out=np.swapaxes(buf[..., 1:6, :], -1, -2))
+            assert not got.flags.c_contiguous
+            assert np.shares_memory(got, buf)
+            assert got.tobytes() == expected.tobytes()
+            assert np.isnan(buf[..., 0, :]).all() and np.isnan(buf[..., 6, :]).all()
+        for shape in ((4, 4), (5, 4), (2, 4, 5)):
+            with pytest.raises(InvalidParameterError, match="out must have shape"):
+                fm.evaluate(ds, out=np.empty(shape))
+
     def test_evaluate_on_array_columns(self):
         cols = ArrayColumns(
             3, states={1: np.array([1.0, 2.0, 3.0])}, actions={1: np.array([0, 1, 1])}

@@ -511,3 +511,41 @@ class TestLogisticStack:
         )
         with pytest.raises(NonConvergenceError, match="step halving"):
             logistic_fit(x, a)
+
+
+def _fit_or_error(fit, *args):
+    try:
+        return fit(*args)
+    except (NonConvergenceError, SingularSystemError) as exc:
+        return type(exc)
+
+
+def _assert_close(got, ref, rtol):
+    # relative to the largest entry, so that entries near zero do not count
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+class TestDesignLayout:
+    """A feature-major (Fortran-ordered) design fits like its C-ordered
+    copy: the products X'X and X'WX give the same bits in both layouts,
+    the matrix-vector products X'r and X theta may differ by rounding,
+    which the solve amplifies by at most the condition number of X'X."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(problem=_logistic_stacks(), seed=st.integers(0, 99))
+    def test_fortran_design_fits_as_c_design(self, problem, seed):
+        x, a = problem
+        x, a = x[0], a[0]
+        rng = np.random.default_rng(seed)
+        y = x @ rng.normal(size=x.shape[1]) + rng.normal(size=x.shape[0])
+        fx = np.asfortranarray(x)
+        assert fx.flags.f_contiguous and (x.shape[1] == 1 or not fx.flags.c_contiguous)
+        rtol = max(1e-12, 32 * np.finfo(float).eps * np.linalg.cond(x.T @ x))
+        for fit, response in ((wls_fit, y), (logistic_fit, a)):
+            ref, got = (_fit_or_error(fit, design, response) for design in (x, fx))
+            if isinstance(ref, type) or isinstance(got, type):
+                assert ref is got
+                continue
+            _assert_close(got.coefficients, ref.coefficients, rtol)
+            _assert_close(got.covariance, ref.covariance, rtol)
+            assert abs(got.iterations - ref.iterations) <= 1
