@@ -13,8 +13,6 @@ from .data import (
     Dataset,
     DecisionRule,
     FeatureMap,
-    KnownPropensity,
-    LogisticPropensity,
     Regime,
     StageFit,
     StageSpec,

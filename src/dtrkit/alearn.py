@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from .data import Dataset, KnownPropensity, LogisticPropensity, StageFit, build_design
+from .data import Dataset, FeatureMap, StageFit, build_design
 from .errors import ExtremePropensityWarning, InvalidParameterError, SingularSystemError
 # solve_linear is not called here, but bench/spans.py traces it as
 # alearn.solve_linear.
@@ -75,29 +75,27 @@ def _warn_extreme(pihat, stage: int) -> None:
 
 
 def propensity_eval(propensity, dataset: Dataset, stage: int):
-    """Evaluate or fit the stage propensity.
+    """Evaluate or fit the stage propensity, a ``StageSpec.propensity``.
 
     Returns ``(pihat, fit)`` where ``fit`` is the logistic
     :class:`~dtrkit.numerics.FitResult` when a model was fit and None when
     the propensity is known.  Values within ``PROPENSITY_EPS`` of 0 or 1
     are left untouched but raise :class:`ExtremePropensityWarning`.
     """
-    if isinstance(propensity, LogisticPropensity):
-        propensity.features.check_stage(stage)
-        fit = logistic_fit(propensity.features.evaluate(dataset), dataset.action_col(stage))
+    if isinstance(propensity, FeatureMap):
+        propensity.check_stage(stage)
+        fit = logistic_fit(propensity.evaluate(dataset), dataset.action_col(stage))
         pihat = fit.fitted
     else:
-        pihat, fit = _known_propensity(propensity, dataset, stage), None
+        pihat, fit = _known_propensity(propensity, dataset.y.shape, stage), None
     _warn_extreme(pihat, stage)
     return pihat, fit
 
 
-def _known_propensity(propensity, dataset: Dataset, stage: int):
-    if not isinstance(propensity, KnownPropensity):
-        raise InvalidParameterError(
-            f"stage {stage} has no usable propensity specification ({propensity!r})"
-        )
-    return propensity.evaluate(dataset, stage)
+def _known_propensity(propensity, shape, stage: int) -> np.ndarray:
+    if propensity is None:
+        raise InvalidParameterError(f"stage {stage} has no usable propensity specification (None)")
+    return np.full(shape, float(propensity))
 
 
 def _stage_solve(design_h, design_c, actions, pihat, v, stage: int):
@@ -185,14 +183,14 @@ def _stage(dataset: Dataset, k: int, spec, v, live):
     design_c = _take(build_design(dataset, k, spec.c_features), live)
     actions = _take(dataset.action_col(k), live).astype(float)
     propensity = spec.propensity
-    if isinstance(propensity, LogisticPropensity):
-        propensity.features.check_stage(k)
+    if isinstance(propensity, FeatureMap):
+        propensity.check_stage(k)
         phi, phi_cov, pihat, _, prop_errors = logistic_stack(
-            _take(propensity.features.evaluate(dataset), live), actions
+            _take(propensity.evaluate(dataset), live), actions
         )
     else:
-        pihat = np.broadcast_to(_known_propensity(propensity, dataset, k), dataset.y.shape)
-        pihat, phi, phi_cov, prop_errors = _take(pihat, live), None, None, [None] * live.size
+        pihat = _known_propensity(propensity, actions.shape, k)
+        phi, phi_cov, prop_errors = None, None, [None] * live.size
     fit, errors = _stage_solve(design_h, design_c, actions, pihat, v, k)
     fit.phi, fit.phi_cov = phi, phi_cov
     errors = [p if p is not None else e for p, e in zip(prop_errors, errors)]

@@ -86,7 +86,7 @@ def _cell_inputs(definition, spec, params, n: int, name: str):
     params = definition.params_cls() if params is None else params
     if not isinstance(params, definition.params_cls):
         raise InvalidParameterError(f"params must be {definition.params_cls.__name__}")
-    maps = (spec.h_features, spec.c_features, spec.propensity.features)
+    maps = (spec.h_features, spec.c_features, spec.propensity)
     return params, np.empty((sum(m.n_features for m in maps), n))
 
 
@@ -111,7 +111,7 @@ def _cell_ses(definition, spec, params, beta_q: float, phi_q: float, n: int, str
     spec.h_features.evaluate(dataset, out=work[:p_h].T)
     spec.c_features.evaluate(dataset, out=work[p_h:p_out].T)
     work[p_h:p_out] *= a
-    spec.propensity.features.evaluate(dataset, out=work[p_out:].T)
+    spec.propensity.evaluate(dataset, out=work[p_out:].T)
     out_fit = wls_fit(work[:p_out].T, dataset.y)
     start = getattr(params, definition.calibration[1])
     prop_fit = logistic_fit(work[p_out:].T, a, start=start)

@@ -34,16 +34,7 @@ from .calibrate import (
     grid_size,
 )
 from .data import StageSpec, read_dataset_csv, write_dataset_csv
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    DtrError,
-    InvalidParameterError,
-    NonConvergenceError,
-    ParseError,
-    SingularSystemError,
-    StudyError,
-)
+from .errors import ConfigError, DtrError, InvalidParameterError, ParseError
 from .evaluate import StudyConfig, regime_value_analytic, run_mc_study, value_gcomputation
 from .qlearn import qlearn_fit
 from .rng import make_stream
@@ -51,7 +42,6 @@ from .scenarios import scenario_params, scenario_registry, true_psi
 
 CONFIG_VERSION = 1
 _CONFIG_ERRORS = (ConfigError, ParseError, InvalidParameterError, FileNotFoundError)
-_NUMERIC_ERRORS = (SingularSystemError, NonConvergenceError, StudyError, CalibrationError)
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +147,12 @@ def _require(section: dict, key, types, context: str, default=None):
     if not isinstance(value, types) or isinstance(value, bool) or not finite:
         raise ConfigError(f"{name}: has the wrong type or is not finite")
     return value
+
+
+def _reals(values: list, context: str) -> list:
+    """The entries of ``values``, each checked as a number by :func:`_require`."""
+    entries = dict(enumerate(values))
+    return [_require(entries, i, (int, float), context) for i in entries]
 
 
 def _integer(section: dict, key: str, context: str, default=None, minimum: int = 1) -> int:
@@ -280,11 +276,10 @@ def _value_settings(ctx: _RunContext):
     psi_entry = section.get("psi", "true")
     if psi_entry == "true":
         psi_list = true_psi(params)
-    elif isinstance(psi_entry, list):
-        try:
-            psi_list = [np.asarray(p, dtype=float) for p in psi_entry]
-        except (TypeError, ValueError):
-            raise ConfigError("value.psi: must be a list of per-stage coefficient lists") from None
+    elif isinstance(psi_entry, list) and all(isinstance(p, list) for p in psi_entry):
+        psi_list = [
+            np.array(_reals(p, f"value.psi.{k}"), dtype=float) for k, p in enumerate(psi_entry)
+        ]
         canonical = [len(features) for features in definition.rules]
         if [p.size for p in psi_list] != canonical:
             raise ConfigError(
@@ -448,8 +443,9 @@ def _calibrate_settings(ctx: _RunContext):
         check = _require(section, "check", dict, "calibrate")
         n_check = _integer(check, "n", "calibrate.check", default=10000, minimum=MIN_N_CAL)
         reps_check = _integer(check, "reps", "calibrate.check", default=100)
-        phis = dict(enumerate(_require(check, "pairs", list, "calibrate.check", default=[])))
-        phis = [_require(phis, i, (int, float), "calibrate.check.pairs") for i in phis]
+        phis = _reals(
+            _require(check, "pairs", list, "calibrate.check", default=[]), "calibrate.check.pairs"
+        )
         check = (n_check, reps_check, phis)
     settings = dict(
         grid_lo=float(lo), grid_hi=float(hi), step=float(step), n_cal=n_cal, params=params
@@ -550,9 +546,6 @@ def main(argv=None) -> int:
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except DtrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -23,7 +23,7 @@ import csv
 import numbers
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,8 +33,6 @@ __all__ = [
     "Dataset",
     "DecisionRule",
     "FeatureMap",
-    "KnownPropensity",
-    "LogisticPropensity",
     "Regime",
     "StageFit",
     "StageSpec",
@@ -191,44 +189,8 @@ class FeatureMap:
 
 
 # ---------------------------------------------------------------------------
-# Column views and datasets
+# Datasets
 # ---------------------------------------------------------------------------
-
-
-class ArrayColumns:
-    """Column view over plain arrays, for simulated batches.
-
-    ``states`` maps stage -> (n, d_k) array and ``actions`` maps stage ->
-    (n,) array; only the stages filled in so far need to be present.  As in
-    :class:`Dataset`, a leading axis stacks histories: (E, n, d_k), (E, n).
-    """
-
-    def __init__(self, n: int, states: dict | None = None, actions: dict | None = None):
-        self.n = n
-        self.states = states if states is not None else {}
-        self.actions = actions if actions is not None else {}
-
-    def state_col(self, stage: int, comp: int) -> np.ndarray:
-        try:
-            block = self.states[stage]
-        except KeyError:
-            raise FeatureScopeError(f"no state for stage {stage}") from None
-        block = np.asarray(block, dtype=float)
-        if block.ndim == 1:
-            if comp != 1:
-                raise FeatureScopeError(f"state s{stage} has one component, not {comp}")
-            return block
-        if comp > block.shape[-1]:
-            raise FeatureScopeError(
-                f"state s{stage} has {block.shape[-1]} components, not {comp}"
-            )
-        return block[..., comp - 1]
-
-    def action_col(self, stage: int) -> np.ndarray:
-        try:
-            return np.asarray(self.actions[stage], dtype=float)
-        except KeyError:
-            raise FeatureScopeError(f"no action for stage {stage}") from None
 
 
 @dataclass
@@ -342,44 +304,30 @@ class Regime:
 
 
 @dataclass(frozen=True)
-class KnownPropensity:
-    """Propensity known by design: a constant or a callable.
-
-    A callable receives ``(dataset, stage)`` and returns the (n,) vector of
-    treatment probabilities.
-    """
-
-    value: float | Callable
-
-    def evaluate(self, dataset: Dataset, stage: int) -> np.ndarray:
-        if callable(self.value):
-            pi = np.asarray(self.value(dataset, stage), dtype=float)
-        else:
-            pi = np.full(dataset.y.shape, float(self.value))
-        if np.any(pi < 0.0) or np.any(pi > 1.0):
-            raise InvalidParameterError("known propensities must lie in [0, 1]")
-        return pi
-
-
-@dataclass(frozen=True)
-class LogisticPropensity:
-    """Propensity modeled as expit(features' phi), fitted by ML."""
-
-    features: FeatureMap
-
-
-@dataclass(frozen=True)
 class StageSpec:
     """Working models for one stage.
 
     ``h_features`` parameterizes the action-free part of the stage outcome
     model, ``c_features`` the treatment contrast, and ``propensity`` the
-    treatment assignment model (unused by pure regression fits).
+    treatment assignment model (unused by pure regression fits): a
+    :class:`FeatureMap` for a logistic model fitted by ML, a probability in
+    [0, 1] known by design, or None.
     """
 
     h_features: FeatureMap
     c_features: FeatureMap
-    propensity: KnownPropensity | LogisticPropensity | None = None
+    propensity: FeatureMap | float | None = None
+
+    def __post_init__(self):
+        propensity = self.propensity
+        if isinstance(propensity, numbers.Real) and not isinstance(propensity, bool):
+            if not 0.0 <= propensity <= 1.0:
+                raise InvalidParameterError(f"propensity must lie in [0, 1], got {propensity!r}")
+            object.__setattr__(self, "propensity", float(propensity))
+        elif propensity is not None and not isinstance(propensity, FeatureMap):
+            raise InvalidParameterError(
+                f"propensity must be a list of feature strings or a probability, got {propensity!r}"
+            )
 
     @classmethod
     def parse(cls, h: Sequence[str], c: Sequence[str], propensity=None) -> "StageSpec":
@@ -392,15 +340,7 @@ class StageSpec:
                     f"{key} must be a list of feature strings, got {features!r}"
                 )
         if _is_feature_list(propensity):
-            propensity = LogisticPropensity(FeatureMap.parse(propensity))
-        elif isinstance(propensity, numbers.Real) and not isinstance(propensity, bool):
-            if not 0.0 <= propensity <= 1.0:
-                raise InvalidParameterError(f"propensity must lie in [0, 1], got {propensity!r}")
-            propensity = KnownPropensity(float(propensity))
-        elif propensity is not None:
-            raise InvalidParameterError(
-                f"propensity must be a list of feature strings or a probability, got {propensity!r}"
-            )
+            propensity = FeatureMap.parse(propensity)
         return cls(FeatureMap.parse(h), FeatureMap.parse(c), propensity)
 
 

@@ -2,6 +2,19 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CalibrationError",
+    "ConfigError",
+    "DtrError",
+    "ExtremePropensityWarning",
+    "FeatureScopeError",
+    "InvalidParameterError",
+    "NonConvergenceError",
+    "ParseError",
+    "SingularSystemError",
+    "StudyError",
+]
+
 
 class DtrError(Exception):
     """Base class for all errors raised by this package."""

@@ -137,8 +137,14 @@ class StudyConfig:
         if len(specs) != definition.n_stages:
             raise InvalidParameterError("need one stage spec per scenario stage")
         estimators = tuple(self.estimators)
-        if not estimators or any(e not in ESTIMATOR_NAMES for e in estimators):
-            raise InvalidParameterError(f"estimators must be drawn from {ESTIMATOR_NAMES}")
+        if (
+            not estimators
+            or any(e not in ESTIMATOR_NAMES for e in estimators)
+            or len(set(estimators)) < len(estimators)
+        ):
+            raise InvalidParameterError(
+                f"estimators must be distinct names drawn from {ESTIMATOR_NAMES}"
+            )
         if self.value_method not in ("analytic", "gcomp"):
             raise InvalidParameterError("value_method must be 'analytic' or 'gcomp'")
         if self.threads < 1:

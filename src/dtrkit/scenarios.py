@@ -53,8 +53,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import ArrayColumns, Dataset, DecisionRule, FeatureMap, Regime, StageSpec
-from .errors import InvalidParameterError
+from .data import Dataset, DecisionRule, FeatureMap, Regime, StageSpec
+from .errors import FeatureScopeError, InvalidParameterError
 from .numerics import expit, trunc_norm_moments
 from .rng import RngStream
 
@@ -167,7 +167,8 @@ class _Source:
     Without a regime (generation) variable k comes from substream k, each
     action from its propensity, and the outcome gets its noise.  With a
     regime (g-computation) the states come in turn from the stream itself,
-    the regime chooses each action, and the outcome is its mean; under E
+    the regime chooses each action, reading the history drawn so far through
+    ``state_col`` and ``action_col``, and the outcome is its mean; under E
     stacked rules each raw draw serves all E, and what follows broadcasts.
     """
 
@@ -195,10 +196,17 @@ class _Source:
         if self.regime is None:
             self.actions.append(self._next().bernoulli(expit(eta()), self.n))
         else:
-            states = {k: s[..., None] for k, s in enumerate(self.states, 1)}
-            history = ArrayColumns(self.n, states, dict(enumerate(self.actions, 1)))
-            self.actions.append(self.regime.actions(len(self.actions) + 1, history))
+            self.actions.append(self.regime.actions(len(self.actions) + 1, self))
         return self.actions[-1]
+
+    def state_col(self, stage: int, comp: int) -> np.ndarray:
+        """State ``s{stage}_{comp}`` of the history; every state has one component."""
+        if comp != 1:
+            raise FeatureScopeError(f"state s{stage} has one component, not {comp}")
+        return self.states[stage - 1]
+
+    def action_col(self, stage: int) -> np.ndarray:
+        return self.actions[stage - 1]
 
     def outcome(self, mean, sd):
         """``mean`` plus N(0, sd^2) noise, or ``mean`` under a regime."""

@@ -13,7 +13,7 @@ from dtrkit.alearn import (
     alearn_stage_solve,
     propensity_eval,
 )
-from dtrkit.data import Dataset, KnownPropensity, StageSpec, build_design
+from dtrkit.data import Dataset, StageSpec, build_design
 from dtrkit.errors import (
     ExtremePropensityWarning,
     InvalidParameterError,
@@ -106,7 +106,7 @@ class TestStageSolve:
 class TestPropensityEval:
     def test_known_constant(self):
         ds, *_ = _one_stage_data(n=50)
-        pihat, fit = propensity_eval(KnownPropensity(0.5), ds, 1)
+        pihat, fit = propensity_eval(0.5, ds, 1)
         assert fit is None
         assert_allclose(pihat, np.full(50, 0.5))
 
@@ -122,9 +122,8 @@ class TestPropensityEval:
 
     def test_extreme_propensity_warns_but_does_not_clip(self):
         ds, *_ = _one_stage_data(n=30)
-        extreme = KnownPropensity(lambda d, k: np.full(d.n, 1e-9))
         with pytest.warns(ExtremePropensityWarning, match="within 1e-06"):
-            pihat, _ = propensity_eval(extreme, ds, 1)
+            pihat, _ = propensity_eval(1e-9, ds, 1)
         assert_allclose(pihat, np.full(30, 1e-9))
 
     def test_missing_propensity(self):

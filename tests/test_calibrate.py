@@ -162,7 +162,7 @@ class TestFitStart:
         definition, spec = _calibration_setup(name)
         params = scenario_params(name, **CALIBRATED[name])
         dataset = definition.generate(params, 500, make_stream(5, 1))
-        design = spec.propensity.features.evaluate(dataset)
+        design = spec.propensity.evaluate(dataset)
         start = np.asarray(getattr(params, definition.calibration[1]))
         assert_allclose(design @ start, _law_logit(name, params, dataset), rtol=1e-13, atol=1e-13)
 
@@ -172,7 +172,7 @@ class TestFitStart:
         definition, spec = _calibration_setup(name)
         params = scenario_params(name, **CALIBRATED[name])
         dataset = definition.generate(params, 10000, make_stream(11, cell))
-        x = spec.propensity.features.evaluate(dataset)
+        x = spec.propensity.evaluate(dataset)
         a = dataset.action_col(definition.n_stages).astype(float)
         cold = logistic_fit(x, a)
         warm = logistic_fit(x, a, start=getattr(params, definition.calibration[1]))
@@ -215,7 +215,7 @@ class TestCellWork:
         c = spec.c_features.evaluate(dataset)
         out_fit = wls_fit(np.hstack([h, a[:, None] * c]), dataset.y)
         prop_fit = logistic_fit(
-            spec.propensity.features.evaluate(dataset), a,
+            spec.propensity.evaluate(dataset), a,
             start=getattr(cell, definition.calibration[1]),
         )
         q = h.shape[1] - 1

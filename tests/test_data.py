@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from dtrkit.alearn import propensity_eval
 from dtrkit.data import (
-    ArrayColumns,
     Dataset,
     DecisionRule,
     FeatureMap,
-    KnownPropensity,
     Regime,
     StageSpec,
     Term,
@@ -149,21 +148,6 @@ class TestFeatureMap:
             with pytest.raises(InvalidParameterError, match="out must have shape"):
                 fm.evaluate(ds, out=np.empty(shape))
 
-    def test_evaluate_on_array_columns(self):
-        cols = ArrayColumns(
-            3, states={1: np.array([1.0, 2.0, 3.0])}, actions={1: np.array([0, 1, 1])}
-        )
-        out = FeatureMap.parse(["s1", "s1*a1"]).evaluate(cols)
-        assert_allclose(out, np.array([[1.0, 0.0], [2.0, 2.0], [3.0, 3.0]]))
-
-    def test_array_columns_scope_errors(self):
-        cols = ArrayColumns(2, states={1: np.zeros((2, 1))}, actions={})
-        with pytest.raises(FeatureScopeError):
-            cols.state_col(2, 1)
-        with pytest.raises(FeatureScopeError):
-            cols.state_col(1, 2)
-        with pytest.raises(FeatureScopeError):
-            cols.action_col(1)
 
 
 class TestDataset:
@@ -214,6 +198,11 @@ class TestDataset:
             Dataset((s,), (a,), np.array([0.0, np.inf, 0.0]))
 
 
+def _one_stage_dataset(s1):
+    n = len(s1)
+    return Dataset((np.asarray(s1)[:, None],), (np.zeros(n, dtype=int),), np.zeros(n))
+
+
 class TestBuildDesign:
     def test_stacks_requested_columns(self):
         ds = _small_dataset()
@@ -237,13 +226,13 @@ class TestRegime:
         # threshold rule: treat while s1 < 250, boundary exactly at zero
         rule = DecisionRule(FeatureMap.parse(["1", "s1"]), np.array([250.0, -1.0]))
         regime = Regime((rule,))
-        cols = ArrayColumns(3, states={1: np.array([[240.0], [250.0], [260.0]])})
-        assert_array_equal(regime.actions(1, cols), [1, 0, 0])
+        ds = _one_stage_dataset([240.0, 250.0, 260.0])
+        assert_array_equal(regime.actions(1, ds), [1, 0, 0])
 
     def test_zero_rule_never_treats(self):
         regime = Regime((DecisionRule(FeatureMap.parse(["1", "s1"]), np.zeros(2)),))
-        cols = ArrayColumns(3, states={1: np.array([-5.0, 0.0, 5.0])})
-        assert_array_equal(regime.actions(1, cols), np.zeros(3, dtype=np.int64))
+        ds = _one_stage_dataset([-5.0, 0.0, 5.0])
+        assert_array_equal(regime.actions(1, ds), np.zeros(3, dtype=np.int64))
 
     def test_vectorized_actions_match_scalar(self):
         rule1 = DecisionRule(FeatureMap.parse(["1", "s1"]), np.array([-1.0, 0.5]))
@@ -252,9 +241,12 @@ class TestRegime:
         ds = _small_dataset()
         batch = regime.actions(2, ds)
         for i in range(ds.n):
-            states = {k: s[i : i + 1] for k, s in enumerate(ds.states, 1)}
-            actions = {k: a[i : i + 1] for k, a in enumerate(ds.actions, 1)}
-            assert batch[i] == regime.actions(2, ArrayColumns(1, states, actions))[0]
+            row = Dataset(
+                tuple(s[i : i + 1] for s in ds.states),
+                tuple(a[i : i + 1] for a in ds.actions),
+                ds.y[i : i + 1],
+            )
+            assert batch[i] == regime.actions(2, row)[0]
 
     def test_contrast_scope_enforced(self):
         regime = Regime((DecisionRule(FeatureMap.parse(["s2"]), np.array([1.0])),))
@@ -264,31 +256,33 @@ class TestRegime:
 
 class TestSpecs:
     def test_known_propensity_constant(self):
-        ds = _small_dataset()
-        assert_allclose(KnownPropensity(0.25).evaluate(ds, 1), np.full(4, 0.25))
-
-    def test_known_propensity_callable(self):
-        ds = _small_dataset()
-        pi = KnownPropensity(lambda d, k: d.state_col(1, 1) / 10.0).evaluate(ds, 1)
-        assert_allclose(pi, np.array([0.1, 0.2, 0.3, 0.4]))
+        spec = StageSpec(FeatureMap.parse(["1"]), FeatureMap.parse(["1"]), 0.25)
+        pihat, fit = propensity_eval(spec.propensity, _small_dataset(), 1)
+        assert fit is None
+        assert_array_equal(pihat, np.full(4, 0.25))
 
     def test_known_propensity_range_checked(self):
-        ds = _small_dataset()
-        with pytest.raises(InvalidParameterError, match=r"\[0, 1\]"):
-            KnownPropensity(1.5).evaluate(ds, 1)
-        with pytest.raises(InvalidParameterError, match=r"\[0, 1\]"):
-            KnownPropensity(lambda d, k: np.full(d.n, -0.1)).evaluate(ds, 1)
+        # Built directly or parsed, a spec checks its propensity when it is made.
+        ones = FeatureMap.parse(["1"])
+        for bad in (1.5, -0.1, float("nan")):
+            with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
+                StageSpec(ones, ones, bad)
+            with pytest.raises(InvalidParameterError, match=r"must lie in \[0, 1\]"):
+                StageSpec.parse(["1"], ["1"], propensity=bad)
+        for bad in (True, "x", ["1", 2], lambda d, k: 0.5):
+            with pytest.raises(InvalidParameterError, match="list of feature strings or a"):
+                StageSpec(ones, ones, bad)
+        assert type(StageSpec(ones, ones, 1).propensity) is float
 
     def test_stage_spec_parse(self):
         spec = StageSpec.parse(["1", "s1"], ["1"], propensity=0.5)
         assert spec.h_features.names() == ["1", "s1_1"]
         assert spec.c_features.names() == ["1"]
-        assert isinstance(spec.propensity, KnownPropensity)
-        assert spec.propensity.value == 0.5
+        assert spec.propensity == 0.5 and isinstance(spec.propensity, float)
 
     def test_stage_spec_parse_logistic(self):
         spec = StageSpec.parse(["1"], ["1"], propensity=["1", "s1"])
-        assert spec.propensity.features.names() == ["1", "s1_1"]
+        assert spec.propensity.names() == ["1", "s1_1"]
 
     def test_stage_spec_parse_no_propensity(self):
         assert StageSpec.parse(["1"], ["1"]).propensity is None

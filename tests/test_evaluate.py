@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
 from dtrkit.data import DecisionRule, FeatureMap, Regime
-from dtrkit.errors import InvalidParameterError, StudyError
+from dtrkit.errors import FeatureScopeError, InvalidParameterError, StudyError
 from dtrkit.evaluate import (
     StudyConfig,
     _threshold_stats,
@@ -261,6 +261,12 @@ class TestGcomputation:
                 assert se is None and ses is None
             else:
                 assert np.float64(se).tobytes() == ses[row].tobytes()
+
+    def test_rule_on_a_missing_state_component_is_a_scope_error(self):
+        # Every scenario state has one component, so s1_2 names nothing.
+        regime = Regime((DecisionRule(FeatureMap.parse(["1", "s1_2"]), np.array([1.0, 0.5])),))
+        with pytest.raises(FeatureScopeError, match="one component, not 2"):
+            value_gcomputation(OneDecisionParams(), regime, 10, RngStream(1, 0))
 
     def test_validation(self):
         regime = _regime_for(OneDecisionParams(), [[1.0, 0.5]])

@@ -391,7 +391,7 @@ def _logistic_stacks(draw):
             phi_q = draw(st.floats(-1.0, 1.0))
             params = scenarios.scenario_params("two_decision", phi2=base.phi2[:-1] + (phi_q,))
             dataset = definition.generate(params, 10000, make_stream(seed, r))
-            xs.append(spec.propensity.features.evaluate(dataset))
+            xs.append(spec.propensity.evaluate(dataset))
             acts.append(dataset.action_col(definition.n_stages).astype(float))
         return np.array(xs), np.array(acts)
     if kind in ("random", "heavy_tailed"):
@@ -484,7 +484,7 @@ class TestLogisticStack:
         # norm of 5.5e-7.
         definition = scenarios.scenario_registry("two_decision")
         dataset = definition.generate(definition.params_cls(), 200, make_stream(77, 297))
-        x = definition.working_specs()[0].propensity.features.evaluate(dataset)
+        x = definition.working_specs()[0].propensity.evaluate(dataset)
         a = dataset.action_col(1).astype(float)
         fit = logistic_fit(x, a)
         assert np.abs(x.T @ (a - fit.fitted)).max() < IRLS_TOL

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import integrate, stats
 
-from dtrkit.data import ArrayColumns
+from dtrkit.data import Dataset, DecisionRule, FeatureMap, Regime
 from dtrkit.errors import InvalidParameterError
 from dtrkit.numerics import expit
 from dtrkit.rng import RngStream
@@ -22,6 +22,7 @@ from dtrkit.scenarios import (
     MoodieParams,
     OneDecisionParams,
     TwoDecisionParams,
+    _Source,
     derive_stage1_truth,
     gen_moodie,
     gen_one_decision,
@@ -378,9 +379,9 @@ class TestTruthHelpers:
         # The thresholds sit at s1 = 250 and s2 = 360; a zero contrast does not treat.
         s1 = np.array([[240.0], [250.0], [240.0], [240.0]])
         s2 = np.array([[300.0], [300.0], [360.0], [400.0]])
-        cols = ArrayColumns(4, {1: s1, 2: s2}, {1: np.ones(4)})
-        assert_array_equal(regime.actions(1, cols), [1, 0, 1, 1])
-        assert_array_equal(regime.actions(2, cols), [1, 1, 0, 0])
+        ds = Dataset((s1, s2), (np.ones(4, dtype=int), np.zeros(4, dtype=int)), np.zeros(4))
+        assert_array_equal(regime.actions(1, ds), [1, 0, 1, 1])
+        assert_array_equal(regime.actions(2, ds), [1, 1, 0, 0])
 
     def test_true_regime_two_decision_rule_features(self):
         regime = true_regime(TwoDecisionParams())
@@ -400,7 +401,19 @@ class TestSpecHelpers:
     def test_full_specs_add_quadratics(self):
         (spec,) = scenario_registry("one_decision").full_specs()
         assert "s1_1^2" in spec.h_features.names()
-        assert "s1_1^2" in spec.propensity.features.names()
+        assert "s1_1^2" in spec.propensity.names()
         specs2 = scenario_registry("two_decision").full_specs()
         assert "s2_1^2" in specs2[1].h_features.names()
-        assert "s2_1^2" in specs2[1].propensity.features.names()
+        assert "s2_1^2" in specs2[1].propensity.names()
+
+
+class TestGcompHistory:
+    def test_feature_map_reads_the_drawn_history(self):
+        # Under a regime the draws so far are the history its rules read.
+        regime = Regime((DecisionRule(FeatureMap.parse(["s1"]), np.array([1.0])),))
+        draw = _Source(RngStream(3, 0), 6, regime)
+        s1 = draw.normal(0.0, 1.0)
+        a1 = draw.action(lambda: None)
+        assert_array_equal(a1, (s1 > 0.0).astype(np.int64))
+        out = FeatureMap.parse(["s1", "s1*a1"]).evaluate(draw)
+        assert_array_equal(out, np.column_stack([s1, s1 * a1]))
