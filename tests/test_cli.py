@@ -143,10 +143,6 @@ CONFIG_TABLE = [
     ("study", "one_decision", {"reps": 5, "value_method": "nope"}, 2, "value_method"),
     ("study", "one_decision", {"reps": 5, "specs": [{"h": ["1"], "c": ["1"]}]}, 2, "contrast"),
     ("value", "two_decision", {"psi": "wrong"}, 2, "value.psi"),
-    ("value", "one_decision", {"psi": [[math.nan, 1.0]]}, 2, "value.psi.0.0"),
-    ("value", "one_decision", {"psi": [[1.0, -math.inf]]}, 2, "value.psi.0.1"),
-    ("value", "one_decision", {"psi": [[True, 1.0]]}, 2, "value.psi.0.0"),
-    ("study", "one_decision", {"reps": 3, "estimators": ["qlearn", "qlearn"]}, 2, "estimators"),
     ("value", "two_decision", {"method": "magic"}, 2, "value.method"),
     ("value", "two_decision", {"method": "gcomp", "gcomp_draws": 0}, 2, "value.gcomp_draws"),
     ("calibrate", "one_decision", {**_SMALL_GRID, "check": {"pairs": "x"}}, 2, "check.pairs"),
@@ -177,6 +173,10 @@ CONFIG_TABLE = [
     ("calibrate", "one_decision", {"grid": {"step": 1e-300}}, 2, "calibrate.grid.step"),
     ("calibrate", "one_decision", {"grid": {"step": 5e-10}}, 2, "calibrate.grid.step"),
     ("calibrate", "two_decision", {**_SMALL_GRID, "check": {"n": 5}}, 2, "calibrate.check.n"),
+    ("value", "one_decision", {"psi": [[math.nan, 1.0]]}, 2, "value.psi.0.0"),
+    ("value", "one_decision", {"psi": [[1.0, -math.inf]]}, 2, "value.psi.0.1"),
+    ("value", "one_decision", {"psi": [[True, 1.0]]}, 2, "value.psi.0.0"),
+    ("study", "one_decision", {"reps": 3, "estimators": ["qlearn", "qlearn"]}, 2, "estimators"),
 ]
 
 
